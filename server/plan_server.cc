@@ -71,15 +71,41 @@ void PlanServer::Serve() {
     // ACK would add ~40ms to every exchange.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stop_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stop_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      for (auto it = handlers_.begin(); it != handlers_.end();) {
+        if (it->done) {
+          finished.push_back(std::move(it->thread));
+          it = handlers_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      conn_fds_.insert(fd);
+      connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+      auto handler = handlers_.emplace(handlers_.end());
+      handler->thread = std::thread([this, fd, handler] {
+        HandleConnection(fd);
+        std::lock_guard<std::mutex> done_lock(conn_mu_);
+        conn_fds_.erase(fd);
+        ::close(fd);
+        handler->done = true;
+      });
     }
-    conn_fds_.insert(fd);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    handlers_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Reaped handlers marked themselves done on their way out, so these
+    // joins wait for thread exit only.
+    for (std::thread& t : finished) t.join();
   }
+}
+
+size_t PlanServer::handler_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return handlers_.size();
 }
 
 bool PlanServer::Start(std::string* error) {
@@ -96,15 +122,14 @@ void PlanServer::RequestStop() {
 void PlanServer::Shutdown() {
   RequestStop();
   if (serve_thread_.joinable()) serve_thread_.join();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    handlers = std::move(handlers_);
-    handlers_.clear();
+    handlers.swap(handlers_);  // keeps the running threads' nodes valid
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
+  for (Handler& h : handlers) {
+    if (h.thread.joinable()) h.thread.join();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -283,9 +308,6 @@ void PlanServer::HandleConnection(int fd) {
     }
     if (!alive) break;
   }
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(fd);
-  ::close(fd);
 }
 
 }  // namespace eadp

@@ -25,15 +25,18 @@
 // Shutdown: a kShutdown frame replies kOk, stops the accept loop, and
 // wakes every connection; Shutdown() does the same from the owning
 // process. Both paths end with every handler joined, so destruction is
-// deterministic. The listener can adopt a pre-bound fd
-// (PlanServerOptions::adopted_listen_fd) — how the fork-based round-trip
-// test hands a kernel-chosen port from parent to child.
+// deterministic. A long-running server does not accumulate threads: each
+// accept first joins the handlers whose connections have ended. The
+// listener can adopt a pre-bound fd (PlanServerOptions::adopted_listen_fd)
+// — how the fork-based round-trip test hands a kernel-chosen port from
+// parent to child.
 
 #ifndef EADP_SERVER_PLAN_SERVER_H_
 #define EADP_SERVER_PLAN_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <set>
 #include <string>
@@ -85,8 +88,13 @@ class PlanServer {
   uint64_t connections_accepted() const {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
+  /// Handler threads not yet joined: live connections plus handlers that
+  /// finished since the last accept.
+  size_t handler_threads() const;
 
  private:
+  /// Serves frames on `fd` until the peer leaves or a reply fails; the
+  /// handler thread that called it then closes `fd`.
   void HandleConnection(int fd);
   /// Flags stop and wakes the accept loop (handler-safe: joins nothing).
   void RequestStop();
@@ -105,9 +113,14 @@ class PlanServer {
   int port_ = 0;
   std::thread serve_thread_;  ///< set by Start()
 
-  std::mutex conn_mu_;  ///< guards conn_fds_ and handlers_
+  struct Handler {
+    std::thread thread;
+    bool done = false;  ///< connection closed; the thread is exiting
+  };
+
+  mutable std::mutex conn_mu_;  ///< guards conn_fds_ and handlers_
   std::set<int> conn_fds_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;  ///< stable nodes: each thread marks its own
 
   std::atomic<uint64_t> connections_accepted_{0};
 };

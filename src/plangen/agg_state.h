@@ -70,29 +70,16 @@ struct PlanAggState {
 
 /// Generates unique column names for partials ("$p0") and counts ("$c0").
 ///
-/// Uniqueness is an invariant of one *plan*, not one generator: when two
-/// subplans join, their slot/count lists concatenate, so any two
-/// generators whose plans can end up merged must draw from disjoint name
-/// spaces. Sequential optimization runs one generator per run (DESIGN.md
-/// §8); the intra-query parallel DP runs one per worker and separates
-/// them with a namespace tag — a tagged generator emits "$p<tag>_<n>"
-/// ("$c<tag>_<n>"), which can never collide with the untagged "$p<n>"
-/// family or with another tag. Tags must themselves be unique per run
-/// (parallel_dp.h derives them from the worker index and, for repeated
-/// drivers like kIdp subproblems, a per-invocation round counter).
+/// Uniqueness is an invariant of one *plan*: when two subplans join, their
+/// slot/count lists concatenate, so every name in one plan must come from
+/// one generator. PlanBuilder::Materialize runs one generator per returned
+/// plan, after enumeration; candidates never carry names (DESIGN.md §6).
 class NameGenerator {
  public:
-  NameGenerator() = default;
-  explicit NameGenerator(std::string name_space)
-      : suffix_(name_space.empty() ? "" : std::move(name_space) + "_") {}
-
-  std::string FreshPartial() {
-    return "$p" + suffix_ + std::to_string(next_++);
-  }
-  std::string FreshCount() { return "$c" + suffix_ + std::to_string(next_++); }
+  std::string FreshPartial() { return "$p" + std::to_string(next_++); }
+  std::string FreshCount() { return "$c" + std::to_string(next_++); }
 
  private:
-  std::string suffix_;
   int next_ = 0;
 };
 

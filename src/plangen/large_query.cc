@@ -23,9 +23,8 @@ namespace eadp {
 namespace {
 
 /// Shared state of one large-query optimization run: the conflict detector,
-/// one PlanBuilder (and therefore one arena and one generated-column name
-/// space — subplans stitched together later must not collide on "$p"/"$c"
-/// columns, see DESIGN.md §8), and the stats bookkeeping.
+/// one PlanBuilder (and therefore one arena, which stitched subplans must
+/// outlive, see DESIGN.md §8), and the stats bookkeeping.
 class LargeQueryRun {
  public:
   LargeQueryRun(const Query& query, const OptimizerOptions& options)
@@ -82,14 +81,14 @@ class LargeQueryRun {
   /// original cut, where the conflict rules trivially hold.
   PlanPtr CanonicalPlan() { return CanonicalRec(query_.root()); }
 
-  /// Finalizes `plan` if it is not already finalized, fills the stats and
-  /// hands the arena over.
+  /// Finalizes `plan` if it is not already finalized, materializes it,
+  /// fills the stats and hands the arena over.
   OptimizeResult Finish(PlanPtr plan, Algorithm used) {
     if (plan != nullptr && plan->op != PlanOp::kFinalMap) {
       plan = builder_.FinalizeTop(plan);
     }
     OptimizeResult result;
-    result.plan = plan;
+    result.plan = builder_.Materialize(plan);
     result.stats.algorithm = used;
     result.stats.ccp_count = cuts_tried_;
     result.stats.plans_built = builder_.plans_built() + worker_plans_built_;
@@ -258,14 +257,11 @@ OptimizeResult OptimizeIdp(const Query& query,
   // dp_threads > 1: a default-sized block (k=6, ~365 splits) is µs-scale
   // work that a fan-out only slows down, while ~3^g/2 splits at g >= 10
   // (~30k pairs) amortize the per-level barriers. Subproblems past the
-  // gate route through ParallelDp with per-round worker namespaces so
-  // plans from different rounds and workers can stitch without
-  // generated-column collisions.
+  // gate route through ParallelDp.
   constexpr int kParallelMinGroup = 10;
   const int dp_workers = std::max(options.dp_threads, 1);
   OptimizerOptions inner_options = options;
   inner_options.algorithm = inner;
-  int parallel_round = 0;
 
   while (units.size() > 1) {
     // Seed: the cheapest-cardinality unit not yet blocked — merging small
@@ -355,8 +351,7 @@ OptimizeResult OptimizeIdp(const Query& query,
         }
       }
       ParallelDp parallel(&query, &run.conflicts(), inner_options,
-                          &run.builder(), &dp, dp_workers, run.DpPool(),
-                          "r" + std::to_string(parallel_round++) + "w");
+                          &run.builder(), &dp, dp_workers, run.DpPool());
       parallel.RunLevels(levels);
       run.AbsorbParallelStats(parallel.stats(), dp_workers);
       // Cut accounting matches the sequential loop's has-both-sources

@@ -16,13 +16,9 @@ PlanBuilder::PlanBuilder(const Query* query, const ConflictDetector* conflicts,
       options_(options),
       estimator_(&query->catalog()),
       arena_(arena ? std::move(arena) : std::make_shared<PlanArena>()) {
-  // Modest pre-sizing keeps the memoization maps from rehashing inside the
-  // (timed) enumeration; construction is off the hot path.
+  // Modest pre-sizing keeps the interner from rehashing inside the (timed)
+  // enumeration; construction is off the hot path.
   crossing_interner_.reserve(64);
-  merge_cache_.reserve(64);
-  defaults_cache_.reserve(16);
-  final_aggs_cache_.reserve(16);
-  final_map_cache_.reserve(16);
 }
 
 PlanPtr PlanBuilder::MakeScan(int rel) {
@@ -39,14 +35,12 @@ PlanPtr PlanBuilder::MakeScan(int rel) {
   for (AttrSet k : def.keys) keys.Insert(k);
   node->keys_ = arena_->InternKeys(keys);
   node->duplicate_free = def.duplicate_free;
-  if (leaf_states_.size() <= static_cast<size_t>(rel)) {
-    leaf_states_.resize(static_cast<size_t>(rel) + 1, nullptr);
+  for (const AggregateFunction& f : query_->aggregates()) {
+    if (f.arg >= 0 && !IsDecomposable(f) &&
+        query_->catalog().RelationOf(f.arg) == rel) {
+      node->raw_nondecomp.Add(f.arg);
+    }
   }
-  const PlanAggState*& leaf = leaf_states_[static_cast<size_t>(rel)];
-  if (leaf == nullptr) {
-    leaf = arena_->arena().New<PlanAggState>(LeafAggState(*query_, rel));
-  }
-  node->agg_state_ = leaf;
   if (options_.track_fds) {
     node->fds_ = arena_->arena().New<FdSet>(ScanFds(query_->catalog(), rel));
   }
@@ -145,26 +139,6 @@ CrossingOps PlanBuilder::FindCrossingOps(RelSet s1, RelSet s2) {
   return out;
 }
 
-const PlanAggState* PlanBuilder::MergedState(const PlanAggState* left,
-                                             const PlanAggState* right) {
-  auto [it, inserted] = merge_cache_.try_emplace({left, right}, nullptr);
-  if (inserted) {
-    it->second =
-        arena_->arena().New<PlanAggState>(MergeAggStates(*left, *right));
-  }
-  return it->second;
-}
-
-const std::vector<SymbolicDefault>* PlanBuilder::DefaultsFor(
-    const PlanAggState* state) {
-  auto [it, inserted] = defaults_cache_.try_emplace(state, nullptr);
-  if (inserted) {
-    it->second = arena_->arena().New<std::vector<SymbolicDefault>>(
-        OuterJoinDefaults(*query_, *state));
-  }
-  return it->second;
-}
-
 PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
                               const CrossingOps& crossing) {
   const CrossingInfo& info = *crossing.info;
@@ -176,16 +150,6 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
   node->right = right;
   node->crossing = crossing.info;
   double selectivity = info.selectivity;
-
-  // Default vectors for the generalized outer joins: whenever a side that
-  // can be null-padded carries generated aggregation columns, pad them with
-  // c:1 / F¹({⊥}) instead of NULL (Eqvs. 12/14/15 and DESIGN.md §4).
-  if (node->op == PlanOp::kLeftOuter || node->op == PlanOp::kFullOuter) {
-    node->right_defaults_ = DefaultsFor(right->agg_state_);
-  }
-  if (node->op == PlanOp::kFullOuter) {
-    node->left_defaults_ = DefaultsFor(left->agg_state_);
-  }
 
   KeyProperties keys = ComputeJoinKeys(node->op, query_->catalog(), *left,
                                        *right, info.predicate);
@@ -230,16 +194,11 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
   node->cost = cost_model_.BinaryOpCost(node->cardinality, left->cost,
                                         right->cost);
 
-  if (LeftOnlyOutput(crossing.primary_kind)) {
-    // Right-side attributes (and any generated columns there) are gone.
-    // Queries never aggregate over hidden relations, so the right state
-    // must not carry aggregate slots.
-    assert(right->agg_state().slots.empty() &&
-           "aggregate over a relation hidden by a semi/anti/group join");
-    node->agg_state_ = left->agg_state_;
-  } else {
-    node->agg_state_ = MergedState(left->agg_state_, right->agg_state_);
-  }
+  // Right-side attributes are gone behind a left-only operator.
+  node->raw_nondecomp =
+      LeftOnlyOutput(crossing.primary_kind)
+          ? left->raw_nondecomp
+          : left->raw_nondecomp.Union(right->raw_nondecomp);
   if (options_.track_fds) {
     node->fds_ = arena_->arena().New<FdSet>(
         JoinFds(node->op, left->fds(), right->fds(), info.predicate));
@@ -260,7 +219,8 @@ bool PlanBuilder::CanPushGrouping(PlanPtr child, OpKind parent,
   if (query_->PendingGroupJoinRightIntersects(child->rels)) return false;
   AttrSet g_plus = query_->GroupByPlus(child->rels);
   if (!NeedsGrouping(g_plus, *child)) return false;  // waste (Fig. 6)
-  return CanGroup(*query_, child->agg_state(), g_plus);
+  // Every raw slot outside G+ must be decomposable (agg_state.h CanGroup).
+  return child->raw_nondecomp.IsSubsetOf(g_plus);
 }
 
 PlanPtr PlanBuilder::MakeGrouping(PlanPtr child) {
@@ -269,12 +229,9 @@ PlanPtr PlanBuilder::MakeGrouping(PlanPtr child) {
   node->rels = child->rels;
   node->left = child;
   node->group_by = query_->GroupByPlus(child->rels);
-  // Grouping specs embed fresh generated column names, so they are unique
-  // per grouping node — built directly in the arena, not memoized.
-  auto* aggs = arena_->arena().New<std::vector<ExecAggregate>>();
-  node->agg_state_ = arena_->arena().New<PlanAggState>(BuildGroupingSpec(
-      *query_, child->agg_state(), node->group_by, &names_, aggs));
-  node->group_aggs_ = aggs;
+  // CanPushGrouping put every raw non-decomposable argument in G+, where
+  // it stays raw.
+  node->raw_nondecomp = child->raw_nondecomp;
   node->cardinality =
       estimator_.GroupingCardinality(node->group_by, child->cardinality);
   KeyProperties keys = ComputeGroupingKeys(*child, node->group_by);
@@ -311,49 +268,6 @@ void PlanBuilder::OpTrees(PlanPtr t1, PlanPtr t2, const CrossingOps& crossing,
   if (push_left && push_right) add(MakeJoin(g1, g2, crossing));
 }
 
-const std::vector<ExecAggregate>* PlanBuilder::FinalAggsFor(
-    const PlanAggState* state) {
-  auto [it, inserted] = final_aggs_cache_.try_emplace(state, nullptr);
-  if (inserted) {
-    it->second = arena_->arena().New<std::vector<ExecAggregate>>(
-        BuildFinalAggregates(*query_, *state));
-  }
-  return it->second;
-}
-
-const FinalMapInfo* PlanBuilder::FinalMapFor(const PlanAggState* state) {
-  auto [it, inserted] = final_map_cache_.try_emplace(state, nullptr);
-  if (!inserted) return it->second;
-
-  const Catalog& catalog = query_->catalog();
-  FinalMapInfo* fm = arena_->arena().New<FinalMapInfo>();
-  // On the Eqv. 42 path (`state` non-null) every aggregate is computed from
-  // the single row of its group; after a final grouping (`state` null) the
-  // map only reconstitutes avg slots.
-  if (state != nullptr) fm->exprs = BuildFinalMap(*query_, *state);
-  for (const FinalDivision& div : query_->final_divisions()) {
-    MapExpr e;
-    e.output = div.output;
-    e.kind = MapExpr::Kind::kDiv;
-    e.arg = query_->aggregates()[static_cast<size_t>(div.numerator_slot)]
-                .output;
-    e.arg2 = query_->aggregates()[static_cast<size_t>(div.denominator_slot)]
-                 .output;
-    fm->exprs.push_back(std::move(e));
-  }
-  for (int a : BitsOf(query_->group_by())) {
-    fm->output_columns.push_back(catalog.attribute(a).name);
-  }
-  for (const AggregateFunction& f : query_->aggregates()) {
-    fm->output_columns.push_back(f.output);
-  }
-  for (const FinalDivision& div : query_->final_divisions()) {
-    fm->output_columns.push_back(div.output);
-  }
-  it->second = fm;
-  return fm;
-}
-
 PlanPtr PlanBuilder::FinalizeTop(PlanPtr t) {
   AttrSet g = query_->group_by();
 
@@ -364,7 +278,6 @@ PlanPtr PlanBuilder::FinalizeTop(PlanPtr t) {
     group->rels = t->rels;
     group->left = t;
     group->group_by = g;
-    group->group_aggs_ = FinalAggsFor(t->agg_state_);
     group->cardinality = estimator_.GroupingCardinality(g, t->cardinality);
     group->raw_cardinality = group->cardinality;
     group->pregroup_cardinality = t->pregroup_cardinality;
@@ -382,8 +295,6 @@ PlanPtr PlanBuilder::FinalizeTop(PlanPtr t) {
   map->op = PlanOp::kFinalMap;
   map->rels = below->rels;
   map->left = below;
-  map->final_map_ = FinalMapFor(
-      below->op == PlanOp::kFinalGroup ? nullptr : below->agg_state_);
   map->cardinality = below->cardinality;
   map->raw_cardinality = below->raw_cardinality;
   map->pregroup_cardinality = below->pregroup_cardinality;
@@ -391,6 +302,99 @@ PlanPtr PlanBuilder::FinalizeTop(PlanPtr t) {
   map->keys_ = below->keys_;
   map->duplicate_free = below->duplicate_free;
   return map;
+}
+
+PlanPtr PlanBuilder::Materialize(PlanPtr plan) {
+  if (plan == nullptr) return nullptr;
+  NameGenerator names;
+  return MaterializeNode(plan, &names);
+}
+
+PlanPtr PlanBuilder::MaterializeNode(PlanPtr candidate, NameGenerator* names) {
+  Arena& arena = arena_->arena();
+  PlanNode* node = arena_->NewNode(*candidate);
+  if (candidate->left) node->left = MaterializeNode(candidate->left, names);
+  if (candidate->right) node->right = MaterializeNode(candidate->right, names);
+
+  switch (node->op) {
+    case PlanOp::kScan:
+      node->agg_state_ =
+          arena.New<PlanAggState>(LeafAggState(*query_, node->relation));
+      break;
+    case PlanOp::kGroup: {
+      // Grouping specs embed fresh generated column names.
+      auto* aggs = arena.New<std::vector<ExecAggregate>>();
+      node->agg_state_ = arena.New<PlanAggState>(BuildGroupingSpec(
+          *query_, node->left->agg_state(), node->group_by, names, aggs));
+      node->group_aggs_ = aggs;
+      break;
+    }
+    case PlanOp::kFinalGroup:
+      node->group_aggs_ = arena.New<std::vector<ExecAggregate>>(
+          BuildFinalAggregates(*query_, node->left->agg_state()));
+      break;
+    case PlanOp::kFinalMap: {
+      // On the Eqv. 42 path every aggregate is computed from the single row
+      // of its group; after a final grouping the map only reconstitutes avg
+      // slots. Either way it then projects to the query's output schema.
+      auto* fm = arena.New<FinalMapInfo>();
+      if (node->left->op != PlanOp::kFinalGroup) {
+        fm->exprs = BuildFinalMap(*query_, node->left->agg_state());
+      }
+      const AggregateVector& aggs = query_->aggregates();
+      for (const FinalDivision& div : query_->final_divisions()) {
+        MapExpr e;
+        e.output = div.output;
+        e.kind = MapExpr::Kind::kDiv;
+        e.arg = aggs[static_cast<size_t>(div.numerator_slot)].output;
+        e.arg2 = aggs[static_cast<size_t>(div.denominator_slot)].output;
+        fm->exprs.push_back(std::move(e));
+      }
+      const Catalog& catalog = query_->catalog();
+      for (int a : BitsOf(query_->group_by())) {
+        fm->output_columns.push_back(catalog.attribute(a).name);
+      }
+      for (const AggregateFunction& f : aggs) {
+        fm->output_columns.push_back(f.output);
+      }
+      for (const FinalDivision& div : query_->final_divisions()) {
+        fm->output_columns.push_back(div.output);
+      }
+      node->final_map_ = fm;
+      break;
+    }
+    default: {
+      const PlanAggState& left = node->left->agg_state();
+      const PlanAggState& right = node->right->agg_state();
+      // Default vectors for the generalized outer joins: whenever a side
+      // that can be null-padded carries generated aggregation columns, pad
+      // them with c:1 / F¹({⊥}) instead of NULL (Eqvs. 12/14/15 and
+      // DESIGN.md §4).
+      if (node->op == PlanOp::kLeftOuter || node->op == PlanOp::kFullOuter) {
+        node->right_defaults_ = arena.New<std::vector<SymbolicDefault>>(
+            OuterJoinDefaults(*query_, right));
+      }
+      if (node->op == PlanOp::kFullOuter) {
+        node->left_defaults_ = arena.New<std::vector<SymbolicDefault>>(
+            OuterJoinDefaults(*query_, left));
+      }
+      OpKind primary =
+          query_->ops()[static_cast<size_t>(node->op_indices()[0])].kind;
+      if (LeftOnlyOutput(primary)) {
+        // Right-side attributes (and any generated columns there) are
+        // gone. Queries never aggregate over hidden relations, so the right
+        // state must not carry aggregate slots.
+        assert(right.slots.empty() &&
+               "aggregate over a relation hidden by a semi/anti/group join");
+        node->agg_state_ = node->left->agg_state_;
+      } else {
+        node->agg_state_ =
+            arena.New<PlanAggState>(MergeAggStates(left, right));
+      }
+      break;
+    }
+  }
+  return node;
 }
 
 }  // namespace eadp

@@ -20,20 +20,22 @@
 // input is duplicate-free — the grouping is replaced by a map + projection
 // (Eqv. 42).
 //
-// Memory behaviour (docs/DESIGN.md §6): every node and payload comes from
-// the builder's PlanArena. The builder memoizes everything derivable from
-// its inputs — crossing-operator payloads per operator list, merged
-// aggregation states per input-state pair, outer-join default vectors and
-// finalization payloads per aggregation state — so the steady-state DP
-// loop (MakeJoin under EA enumeration) performs no heap allocation beyond
-// the arena bump for the node itself.
+// Candidates versus materialized plans (docs/DESIGN.md §6): while the DP
+// enumerates, MakeScan/MakeJoin/MakeGrouping/FinalizeTop build *candidate*
+// nodes that carry only what the DP reads — cardinalities, cost, keys (and
+// FDs when tracked) plus `raw_nondecomp`, the arguments of raw
+// non-decomposable aggregates, which is all the Valid test needs. No
+// aggregation state, default vector, aggregate vector or generated column
+// name is built per candidate. Materialize() rebuilds the one returned tree
+// with every payload (agg_state.h builders) and numbers its generated
+// columns in tree order; the planner calls it at its exits, so only
+// materialized plans reach the executor, serde and the caches.
 
 #ifndef EADP_PLANGEN_OP_TREES_H_
 #define EADP_PLANGEN_OP_TREES_H_
 
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "algebra/query.h"
@@ -90,7 +92,9 @@ class PlanBuilder {
   PlanPtr MakeJoin(PlanPtr left, PlanPtr right, const CrossingOps& crossing);
 
   /// True iff Γ_{G+} may be pushed onto `child` when it becomes the
-  /// `left_side` argument of an operator of kind `parent`.
+  /// `left_side` argument of an operator of kind `parent`. The
+  /// decomposability half is `child->raw_nondecomp ⊆ G+`, which equals
+  /// CanGroup on the materialized child.
   bool CanPushGrouping(PlanPtr child, OpKind parent, bool left_side) const;
 
   /// Γ_{G+}(child). Precondition: CanPushGrouping.
@@ -105,17 +109,16 @@ class PlanBuilder {
   /// Adds the top grouping / finalization to a plan covering all relations.
   PlanPtr FinalizeTop(PlanPtr t);
 
+  /// Copies the candidate tree `plan` (any subtree, finalized or not) into
+  /// this builder's arena with its aggregation payloads built: agg states,
+  /// outer-join defaults, grouping and final aggregates, and the final map.
+  /// Generated columns are named "$c<n>"/"$p<n>" in postorder, so equal
+  /// trees materialize to equal plans. Does not count as plans built.
+  PlanPtr Materialize(PlanPtr plan);
+
   const CardinalityEstimator& estimator() const { return estimator_; }
   uint64_t plans_built() const { return plans_built_; }
   const std::shared_ptr<PlanArena>& arena() const { return arena_; }
-
-  /// Re-namespaces the generated-column names ("$p…"/"$c…") this builder
-  /// emits; must be called before any plan is built. Parallel-DP worker
-  /// builders get per-worker namespaces so their plans can merge without
-  /// column collisions (see NameGenerator).
-  void SetNameSpace(std::string name_space) {
-    names_ = NameGenerator(std::move(name_space));
-  }
 
  private:
   PlanNode* NewNode() {
@@ -129,48 +132,19 @@ class PlanBuilder {
   /// is a function of the set: it is the unique non-inner member).
   const CrossingInfo* InternCrossing(Bitset128 mask, const int* ops,
                                      size_t count);
-  /// Merged aggregation state of a join, memoized per input-state pair.
-  const PlanAggState* MergedState(const PlanAggState* left,
-                                  const PlanAggState* right);
-  /// Outer-join default vector for a padded side, memoized per state.
-  const std::vector<SymbolicDefault>* DefaultsFor(const PlanAggState* state);
-  /// Final-grouping aggregate vector, memoized per state.
-  const std::vector<ExecAggregate>* FinalAggsFor(const PlanAggState* state);
-  /// Final-map payload; `state` is null after a final grouping (divisions
-  /// and output columns only), non-null on the Eqv. 42 path.
-  const FinalMapInfo* FinalMapFor(const PlanAggState* state);
-
-  struct PtrPairHash {
-    size_t operator()(std::pair<const void*, const void*> p) const {
-      uint64_t a = Mix64(reinterpret_cast<uintptr_t>(p.first));
-      return static_cast<size_t>(
-          Mix64(a ^ reinterpret_cast<uintptr_t>(p.second)));
-    }
-  };
+  PlanPtr MaterializeNode(PlanPtr candidate, NameGenerator* names);
 
   const Query* query_;
   const ConflictDetector* conflicts_;
   BuilderOptions options_;
   CardinalityEstimator estimator_;
   CostModel cost_model_;
-  NameGenerator names_;
   uint64_t plans_built_ = 0;
 
   std::shared_ptr<PlanArena> arena_;
   /// Op-index bitmask -> interned payload.
   std::unordered_map<Bitset128, const CrossingInfo*, Bitset128::Hasher>
       crossing_interner_;
-  /// Leaf aggregation states, one per relation (index = relation id).
-  std::vector<const PlanAggState*> leaf_states_;
-  std::unordered_map<std::pair<const void*, const void*>,
-                     const PlanAggState*, PtrPairHash>
-      merge_cache_;
-  std::unordered_map<const PlanAggState*, const std::vector<SymbolicDefault>*>
-      defaults_cache_;
-  std::unordered_map<const PlanAggState*, const std::vector<ExecAggregate>*>
-      final_aggs_cache_;
-  std::unordered_map<const PlanAggState*, const FinalMapInfo*>
-      final_map_cache_;
 };
 
 }  // namespace eadp

@@ -8,12 +8,11 @@ namespace eadp {
 ParallelDp::Worker::Worker(const Query* query,
                            const ConflictDetector* conflicts,
                            const OptimizerOptions& options,
-                           const DpTable* read_dp, std::string tag)
+                           const DpTable* read_dp)
     : builder(query, conflicts, EffectiveBuilderOptions(options),
               std::make_shared<PlanArena>()),
       combiner(query, &builder, &shard, options.algorithm,
                options.h2_tolerance, read_dp) {
-  builder.SetNameSpace(std::move(tag));
   shard.SetDominanceOptions(!options.prune_without_cardinality,
                             !options.prune_without_keys,
                             options.full_fd_dominance);
@@ -21,14 +20,13 @@ ParallelDp::Worker::Worker(const Query* query,
 
 ParallelDp::ParallelDp(const Query* query, const ConflictDetector* conflicts,
                        const OptimizerOptions& options, PlanBuilder* primary,
-                       DpTable* dp, int workers, ThreadPool* pool,
-                       const std::string& tag_prefix)
+                       DpTable* dp, int workers, ThreadPool* pool)
     : primary_(primary), dp_(dp), pool_(pool) {
   int w = std::max(workers, 1);
   workers_.reserve(static_cast<size_t>(w));
   for (int i = 0; i < w; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        query, conflicts, options, dp, tag_prefix + std::to_string(i)));
+    workers_.push_back(
+        std::make_unique<Worker>(query, conflicts, options, dp));
   }
 }
 

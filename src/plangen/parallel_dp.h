@@ -24,9 +24,10 @@
 //     candidate), and plan construction is a deterministic function of the
 //     source plans. By induction over levels — identical singleton scans
 //     at the base — every class ends with the same costs/cardinalities/
-//     keys sequence as sequentially, hence the same best plan cost.
-//     (Generated-column *names* differ — workers draw from per-worker
-//     namespaces so merged plans cannot collide — but names carry no cost.)
+//     keys sequence as sequentially, hence the same best plan. Worker
+//     builders build candidates only; the returned plan is materialized
+//     (and its generated columns named) once by the primary builder, so
+//     parallel and sequential plans encode to identical bytes.
 //
 // Memory: worker arenas are adopted as siblings of the primary run arena
 // (PlanArena::AdoptSibling), so the single shared_ptr handed to
@@ -42,7 +43,6 @@
 #define EADP_PLANGEN_PARALLEL_DP_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -68,15 +68,11 @@ class ParallelDp {
  public:
   /// All pointers are borrowed. `dp` is the merged table (singleton scans
   /// must already be present); `primary` is the run's main builder, whose
-  /// arena adopts the worker arenas. `tag_prefix` + worker index forms
-  /// each worker's name-space tag and must be unique per primary builder
-  /// across every ParallelDp sharing it (kIdp passes a per-subproblem
-  /// prefix). `workers` is clamped to >= 1; `pool` may be null (inline
-  /// execution — the degenerate sequential schedule).
+  /// arena adopts the worker arenas. `workers` is clamped to >= 1; `pool`
+  /// may be null (inline execution — the degenerate sequential schedule).
   ParallelDp(const Query* query, const ConflictDetector* conflicts,
              const OptimizerOptions& options, PlanBuilder* primary,
-             DpTable* dp, int workers, ThreadPool* pool,
-             const std::string& tag_prefix);
+             DpTable* dp, int workers, ThreadPool* pool);
 
   /// Processes `levels` (index = |S1 ∪ S2|) in ascending order with a
   /// shard merge after each level.
@@ -87,8 +83,7 @@ class ParallelDp {
  private:
   struct Worker {
     Worker(const Query* query, const ConflictDetector* conflicts,
-           const OptimizerOptions& options, const DpTable* read_dp,
-           std::string tag);
+           const OptimizerOptions& options, const DpTable* read_dp);
 
     PlanBuilder builder;
     DpTable shard;

@@ -11,6 +11,14 @@
 // and the hot derived properties (relation set, cardinalities, C_out cost,
 // candidate keys κ of Sec. 2.3, duplicate-freeness) are inline or interned
 // (keys) so dominance checks can compare pointers before contents.
+//
+// Two kinds of node share this type. *Candidates* are built during
+// enumeration and carry only what the DP reads (cardinalities, cost, keys,
+// FDs, `raw_nondecomp`); their aggregation payloads (agg state, defaults,
+// grouping aggregates, final map) are null. *Materialized* nodes come from
+// PlanBuilder::Materialize, which rebuilds the one returned tree with every
+// payload filled in. Only materialized plans leave the planner — the
+// executor, serde, caches and ValidatePlan all expect them.
 
 #ifndef EADP_PLANGEN_PLAN_H_
 #define EADP_PLANGEN_PLAN_H_
@@ -65,9 +73,7 @@ struct CrossingInfo {
   AggregateVector groupjoin_aggs;  ///< primary op kGroupJoin
 };
 
-/// Payload of a kFinalMap node (shared across plans with the same
-/// aggregation state — every finalized plan of a query reuses a handful of
-/// these).
+/// Payload of a materialized kFinalMap node.
 struct FinalMapInfo {
   std::vector<MapExpr> exprs;
   std::vector<std::string> output_columns;
@@ -81,19 +87,19 @@ struct PlanNode {
   int relation = -1;
 
   // Binary operators. `crossing` is interned (see CrossingInfo); the
-  // outer-join symbolic default vectors (Eqvs. 7/8) are interned per
-  // padded-side aggregation state.
+  // outer-join symbolic default vectors (Eqvs. 7/8) are set on
+  // materialized nodes only.
   PlanPtr left = nullptr;
   PlanPtr right = nullptr;
   const CrossingInfo* crossing = nullptr;
   const std::vector<SymbolicDefault>* left_defaults_ = nullptr;   ///< kFullOuter
   const std::vector<SymbolicDefault>* right_defaults_ = nullptr;  ///< kLeftOuter/kFullOuter
 
-  // kGroup / kFinalGroup.
+  // kGroup / kFinalGroup (aggregates on materialized nodes only).
   AttrSet group_by;
   const std::vector<ExecAggregate>* group_aggs_ = nullptr;
 
-  // kFinalMap.
+  // kFinalMap (materialized nodes only).
   const FinalMapInfo* final_map_ = nullptr;
 
   // Derived properties.
@@ -117,8 +123,12 @@ struct PlanNode {
   /// Functional dependencies (populated only when
   /// BuilderOptions::track_fds is set; see plan_fds.h).
   const FdSet* fds_ = nullptr;
-  /// Aggregation state (see agg_state.h); shared, never copied per node.
+  /// Aggregation state (see agg_state.h); set on materialized nodes only.
   const PlanAggState* agg_state_ = nullptr;
+  /// Arguments of the raw, non-decomposable aggregates visible in this
+  /// subplan — all a candidate needs for the CanGroup test (such slots are
+  /// never partialized, so they stay raw through every grouping).
+  AttrSet raw_nondecomp;
 
   // Accessors that hide the payload indirection (null pointer == empty).
   const std::vector<int>& op_indices() const;

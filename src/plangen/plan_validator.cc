@@ -81,6 +81,9 @@ class Validator {
           Fail("grouping increases cardinality");
         }
         if (!node.duplicate_free) Fail("grouping result not duplicate-free");
+        if (node.group_aggs_ == nullptr) {
+          Fail("grouping without aggregates (unmaterialized plan)");
+        }
         Walk(*node.left);
         return;
       }
@@ -89,7 +92,11 @@ class Validator {
           Fail("final map must have exactly one child");
           return;
         }
-        if (node.output_columns().empty()) Fail("final map without outputs");
+        if (node.final_map_ == nullptr) {
+          Fail("final map without payload (unmaterialized plan)");
+        } else if (node.output_columns().empty()) {
+          Fail("final map without outputs");
+        }
         Walk(*node.left);
         return;
       default:
@@ -109,6 +116,9 @@ class Validator {
     }
     if (node.op_indices().empty()) {
       Fail("binary operator without input operators");
+    }
+    if (node.agg_state_ == nullptr) {
+      Fail("binary operator without aggregation state (unmaterialized plan)");
     }
     AttrSet refs = node.predicate().ReferencedAttrs();
     AttrSet own = query_.catalog().AttributesOf(node.rels);

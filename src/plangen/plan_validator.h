@@ -13,6 +13,9 @@
 // this for all five algorithms and that corrupted plans are rejected. The
 // default-vector check enforces the generalized-outer-join requirement of
 // Eqvs. 7/8 (every generated column of the padded side carries a default).
+// Unmaterialized DP candidates (op_trees.h) are rejected: a grouping
+// without its aggregate vector, a final map without its payload, or a
+// binary node without an aggregation state cannot be executed or encoded.
 
 #ifndef EADP_PLANGEN_PLAN_VALIDATOR_H_
 #define EADP_PLANGEN_PLAN_VALIDATOR_H_

@@ -87,7 +87,7 @@ class Generator {
       result.stats.ccp_count =
           CollectCsgCmpPairsBySize(conflicts_.hypergraph(), &levels);
       ParallelDp parallel(&query_, &conflicts_, options_, &builder_, &dp_,
-                          dp_workers, pool, "w");
+                          dp_workers, pool);
       parallel.RunLevels(levels);
       worker_plans_built = parallel.stats().worker_plans_built;
       result.stats.dp_barrier_wait_ms = parallel.stats().barrier_wait_ms;
@@ -98,16 +98,15 @@ class Generator {
           [this](RelSet s1, RelSet s2) { combiner_.Combine(s1, s2); });
     }
 
-    if (all.Count() == 1) {
-      result.plan = builder_.FinalizeTop(dp_.Best(all));
-    } else if (options_.algorithm == Algorithm::kDphyp) {
-      // The baseline adds the single top grouping after join ordering.
-      PlanPtr joins = dp_.Best(all);
-      if (joins) result.plan = builder_.FinalizeTop(joins);
-    } else {
-      // The eager-aggregation generators finalize at insertion time.
-      result.plan = dp_.Best(all);
+    PlanPtr best = dp_.Best(all);
+    if (best != nullptr && best->op != PlanOp::kFinalMap) {
+      // A single relation, or the kDphyp baseline, which adds the single
+      // top grouping after join ordering; the eager-aggregation generators
+      // finalize at insertion time.
+      best = builder_.FinalizeTop(best);
     }
+    // Only the returned plan gets aggregation payloads (op_trees.h).
+    result.plan = builder_.Materialize(best);
 
     result.stats.plans_built = builder_.plans_built() + worker_plans_built;
     result.stats.table_plans = dp_.TotalPlans();

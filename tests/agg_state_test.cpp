@@ -1,8 +1,17 @@
-// Aggregation-state bookkeeping: partialization, ⊗ multipliers, defaults.
+// Aggregation-state bookkeeping: partialization, ⊗ multipliers, defaults,
+// and the candidate-side summary (PlanNode::raw_nondecomp) that stands in
+// for CanGroup during enumeration.
 
 #include "plangen/agg_state.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
+
+#include "hypergraph/dphyp_enumerator.h"
+#include "plangen/dp_table.h"
+#include "queries/query_generator.h"
+#include "tests/test_util.h"
 
 namespace eadp {
 namespace {
@@ -208,6 +217,134 @@ TEST(AggState, CountLikePartialGetsZeroDefault) {
   // Partial count -> 0, count column -> 1 (order: counts first).
   EXPECT_TRUE(defaults[0].one);
   EXPECT_FALSE(defaults[1].one);
+}
+
+// ---------------------------------------------------------------------------
+// Differential pin: the candidate summary `raw_nondecomp ⊆ G+` decides
+// exactly what CanGroup decides on the materialized aggregation state, for
+// every node of every OpTrees candidate.
+// ---------------------------------------------------------------------------
+
+class SummaryChecker {
+ public:
+  SummaryChecker(const Query& query, PlanBuilder* builder)
+      : query_(query), builder_(builder) {}
+
+  void Check(PlanPtr node) {
+    if (node == nullptr || !seen_.insert(node).second) return;
+    AttrSet g_plus = query_.GroupByPlus(node->rels);
+    bool summary = node->raw_nondecomp.IsSubsetOf(g_plus);
+    bool full =
+        CanGroup(query_, builder_->Materialize(node)->agg_state(), g_plus);
+    EXPECT_EQ(summary, full) << node->ToString(query_.catalog());
+    ++checked_;
+    if (!summary) ++rejected_;
+    Check(node->left);
+    Check(node->right);
+  }
+
+  size_t checked() const { return checked_; }
+  size_t rejected() const { return rejected_; }
+
+ private:
+  const Query& query_;
+  PlanBuilder* builder_;
+  std::unordered_set<PlanPtr> seen_;
+  size_t checked_ = 0;
+  size_t rejected_ = 0;
+};
+
+TEST(CandidateSummary, MatchesCanGroupOnEquivalenceCorpus) {
+  size_t checked = 0;
+  size_t rejected = 0;
+  for (OpKind kind : {OpKind::kJoin, OpKind::kLeftOuter, OpKind::kFullOuter,
+                      OpKind::kLeftSemi, OpKind::kLeftAnti,
+                      OpKind::kGroupJoin}) {
+    for (AggMix mix : AllAggMixes()) {
+      for (int keys = 0; keys < 4; ++keys) {
+        TwoRelSpec spec;
+        spec.kind = kind;
+        spec.mix = mix;
+        spec.key_on_r0 = (keys & 1) != 0;
+        spec.key_on_r1 = (keys & 2) != 0;
+        Query query = MakeTwoRelQuery(spec);
+        ConflictDetector conflicts(query);
+        PlanBuilder builder(&query, &conflicts);
+        PlanPtr t0 = builder.MakeScan(0);
+        PlanPtr t1 = builder.MakeScan(1);
+        CrossingOps crossing =
+            builder.FindCrossingOps(RelSet::Single(0), RelSet::Single(1));
+        ASSERT_TRUE(crossing.valid);
+        std::vector<PlanPtr> trees;
+        if (crossing.swap) {
+          builder.OpTrees(t1, t0, crossing, &trees);
+        } else {
+          builder.OpTrees(t0, t1, crossing, &trees);
+        }
+        SummaryChecker checker(query, &builder);
+        for (PlanPtr t : trees) checker.Check(t);
+        checked += checker.checked();
+        rejected += checker.rejected();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(rejected, 0u) << "no non-decomposable slot ever blocked a push";
+}
+
+TEST(CandidateSummary, MatchesCanGroupOnGeneratorCorpus) {
+  // The EA-Prune enumeration, spelled out so every OpTrees output — kept
+  // or pruned — passes through the checker.
+  size_t checked = 0;
+  size_t rejected = 0;
+  for (QueryTopology topology :
+       {QueryTopology::kRandomTree, QueryTopology::kChain,
+        QueryTopology::kStar, QueryTopology::kCycle, QueryTopology::kClique}) {
+    for (int n = 3; n <= 9; ++n) {
+      for (uint64_t seed = 0; seed < 2; ++seed) {
+        GeneratorOptions gen;
+        gen.topology = topology;
+        gen.num_relations = n;
+        gen.distinct_agg_probability = seed == 0 ? 0.10 : 0.5;
+        Query query = GenerateRandomQuery(gen, seed * 100 + static_cast<uint64_t>(n));
+        ConflictDetector conflicts(query);
+        PlanBuilder builder(&query, &conflicts);
+        SummaryChecker checker(query, &builder);
+        DpTable dp;
+        for (int r : BitsOf(query.AllRelations())) {
+          dp.Append(RelSet::Single(r), builder.MakeScan(r));
+        }
+        std::vector<PlanPtr> trees;
+        EnumerateCsgCmpPairs(
+            conflicts.hypergraph(), [&](RelSet s1, RelSet s2) {
+              CrossingOps crossing = builder.FindCrossingOps(s1, s2);
+              if (!crossing.valid) return;
+              RelSet a = crossing.swap ? s2 : s1;
+              RelSet b = crossing.swap ? s1 : s2;
+              RelSet s = s1.Union(s2);
+              bool top = s == query.AllRelations();
+              for (PlanPtr t1 : dp.Plans(a)) {
+                for (PlanPtr t2 : dp.Plans(b)) {
+                  trees.clear();
+                  builder.OpTrees(t1, t2, crossing, &trees);
+                  for (PlanPtr t : trees) {
+                    checker.Check(t);
+                    if (top) {
+                      dp.InsertIfCheaper(s, t);
+                    } else {
+                      dp.InsertPruned(s, t);
+                    }
+                  }
+                }
+              }
+            });
+        checked += checker.checked();
+        rejected += checker.rejected();
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(rejected, 0u) << "no non-decomposable slot ever blocked a push";
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // For every binary operator ◦ and every aggregate mix, the four OpTrees
 // variants — T1 ◦ T2, Γ(T1) ◦ T2, T1 ◦ Γ(T2), Γ(T1) ◦ Γ(T2), each with the
 // top-level finalization — are built with the library's own rewriting
-// machinery and executed against randomized data (with NULLs, duplicates
+// machinery, materialized (op_trees.h), and executed against randomized data (with NULLs, duplicates
 // and empty inputs). Each variant must produce the canonical result. This
 // covers Eqvs. 10–36 (inner join, left outerjoin with defaults, full
 // outerjoin with defaults), 37/38 (semijoin, antijoin) and 39–41
@@ -55,7 +55,9 @@ TEST_P(EquivalenceTest, AllOpTreesVariantsMatchCanonical) {
 
   for (const PlanPtr& tree : trees) {
     std::string message;
-    EXPECT_TRUE(PlanMatchesCanonical(tree, query, db, &message)) << message;
+    EXPECT_TRUE(PlanMatchesCanonical(builder.Materialize(tree), query, db,
+                                     &message))
+        << message;
   }
 }
 
@@ -132,7 +134,9 @@ TEST(EquivalenceEdgeCases, EmptyLeftInput) {
 
   for (const PlanPtr& tree : trees) {
     std::string message;
-    EXPECT_TRUE(PlanMatchesCanonical(tree, query, db, &message)) << message;
+    EXPECT_TRUE(PlanMatchesCanonical(builder.Materialize(tree), query, db,
+                                     &message))
+        << message;
   }
 }
 
@@ -157,7 +161,9 @@ TEST(EquivalenceEdgeCases, GroupingOnBothSidesOfOuterJoinWithAllNullJoinKeys) {
   Database db = GenerateDatabase(query, 11, options);
   for (const PlanPtr& tree : trees) {
     std::string message;
-    EXPECT_TRUE(PlanMatchesCanonical(tree, query, db, &message)) << message;
+    EXPECT_TRUE(PlanMatchesCanonical(builder.Materialize(tree), query, db,
+                                     &message))
+        << message;
   }
 }
 

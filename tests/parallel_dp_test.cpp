@@ -15,10 +15,11 @@
 //     pool, an injected shared pool, and repeated runs all produce the
 //     same result (the merge happens at deterministic barriers, so pool
 //     scheduling must not be observable);
+//   * plan identity: parallel plans encode (EncodePlan) to the same bytes
+//     as the sequential plan, generated column names included — workers
+//     build candidates only and the returned tree is materialized once;
 //   * execution: parallel-built plans (whose subtrees come from different
-//     worker builders and name spaces) execute to the same rows as the
-//     sequential plan — this is what would break if per-worker
-//     generated-column namespaces ever collided;
+//     worker builders) execute to the same rows as the sequential plan;
 //   * the kIdp route: subproblems past the group-size gate run the
 //     parallel scheduler and stay cost-identical to sequential kIdp;
 //   * stats plumbing: dp_workers / barrier wait / pruning counters.
@@ -31,11 +32,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "plangen/large_query.h"
 #include "plangen/plan_cache.h"
+#include "plangen/plan_serde.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
 #include "queries/data_generator.h"
@@ -97,20 +100,32 @@ void ExpectSameShape(const RunShape& seq, const RunShape& par,
   EXPECT_EQ(seq.pruned_existing, par.pruned_existing) << label;
 }
 
+/// EncodePlan bytes of the plan alone (stats carry timings, which differ
+/// run to run).
+std::string PlanBytes(const OptimizeResult& r) {
+  OptimizeResult plan_only;
+  plan_only.plan = r.plan;
+  return EncodePlan(plan_only);
+}
+
 TEST(ParallelDpIdentity, SmallCorpusAllPoliciesAllWorkerCounts) {
   for (const Query& query : SmallCorpus()) {
     for (Algorithm a : {Algorithm::kDphyp, Algorithm::kEaPrune,
                         Algorithm::kH1, Algorithm::kH2}) {
       OptimizerOptions options;
       options.algorithm = a;
-      RunShape seq = ShapeOf(Optimize(query, options));
+      OptimizeResult sequential = Optimize(query, options);
+      RunShape seq = ShapeOf(sequential);
+      const std::string seq_bytes = PlanBytes(sequential);
       for (int workers : {2, 4, 8}) {
         options.dp_threads = workers;
         OptimizeResult par = Optimize(query, options);
-        ExpectSameShape(seq, ShapeOf(par),
-                        std::string(AlgorithmName(a)) + " workers=" +
+        std::string label = std::string(AlgorithmName(a)) + " workers=" +
                             std::to_string(workers) + "\n" +
-                            query.ToString());
+                            query.ToString();
+        ExpectSameShape(seq, ShapeOf(par), label);
+        // Same tree, same generated column names.
+        EXPECT_EQ(PlanBytes(par), seq_bytes) << label;
         if (par.plan != nullptr) {
           EXPECT_TRUE(ValidatePlan(par.plan, query).empty());
         }
@@ -207,10 +222,8 @@ TEST(ParallelDpInterleavings, PoolSizeAndInjectionAreUnobservable) {
 }
 
 TEST(ParallelDpExec, ParallelPlansComputeSequentialRows) {
-  // Cross-worker plans mix generated columns from several namespaces; row
-  // agreement with the sequential plan is what fails if namespaces ever
-  // collide (a shared "$p0" between two workers' groupings would
-  // mis-merge aggregation state at execution time).
+  // Cross-worker plans mix candidate nodes from several worker arenas; the
+  // materialized plan must compute the sequential plan's rows.
   for (uint64_t seed = 0; seed < 6; ++seed) {
     GeneratorOptions gen;
     gen.num_relations = 5 + static_cast<int>(seed % 3);
@@ -255,6 +268,7 @@ TEST(ParallelDpIdp, GatedSubproblemsMatchSequentialIdp) {
     EXPECT_EQ(par.stats.pruned_candidates, seq.stats.pruned_candidates);
     EXPECT_EQ(par.stats.dp_workers, 4);
     EXPECT_TRUE(ValidatePlan(par.plan, query).empty());
+    EXPECT_EQ(PlanBytes(par), PlanBytes(seq));
   }
 }
 

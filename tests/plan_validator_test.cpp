@@ -8,6 +8,7 @@
 #include "plangen/plangen.h"
 #include "queries/query_generator.h"
 #include "queries/tpch.h"
+#include "tests/test_util.h"
 
 namespace eadp {
 namespace {
@@ -134,6 +135,46 @@ TEST(PlanValidator, DetectsMissingOuterJoinDefaults) {
   // outer join (it does for Ex: the whole point of the paper).
   ASSERT_GT(bad->PushedGroupingCount(), 0);
   EXPECT_FALSE(ValidatePlan(bad, q).empty());
+}
+
+TEST(PlanValidator, RejectsCandidatesAcceptsTheirMaterialization) {
+  // DP candidates carry no aggregation payloads (op_trees.h); only their
+  // materialization may reach the executor, serde and the caches.
+  size_t candidates = 0;
+  for (OpKind kind : {OpKind::kJoin, OpKind::kLeftOuter, OpKind::kFullOuter,
+                      OpKind::kLeftSemi, OpKind::kLeftAnti,
+                      OpKind::kGroupJoin}) {
+    for (AggMix mix : AllAggMixes()) {
+      TwoRelSpec spec;
+      spec.kind = kind;
+      spec.mix = mix;
+      Query q = MakeTwoRelQuery(spec);
+      ConflictDetector conflicts(q);
+      PlanBuilder builder(&q, &conflicts);
+      PlanPtr t0 = builder.MakeScan(0);
+      PlanPtr t1 = builder.MakeScan(1);
+      CrossingOps crossing =
+          builder.FindCrossingOps(RelSet::Single(0), RelSet::Single(1));
+      ASSERT_TRUE(crossing.valid);
+      std::vector<PlanPtr> trees;
+      if (crossing.swap) {
+        builder.OpTrees(t1, t0, crossing, &trees);
+      } else {
+        builder.OpTrees(t0, t1, crossing, &trees);
+      }
+      for (PlanPtr candidate : trees) {
+        ++candidates;
+        EXPECT_FALSE(ValidatePlan(candidate, q).empty())
+            << OpKindName(kind) << "\n" << candidate->ToString(q.catalog());
+        PlanPtr plan = builder.Materialize(candidate);
+        std::vector<std::string> violations = ValidatePlan(plan, q);
+        EXPECT_TRUE(violations.empty())
+            << OpKindName(kind) << ": " << StrJoin(violations, "; ") << "\n"
+            << plan->ToString(q.catalog());
+      }
+    }
+  }
+  EXPECT_GT(candidates, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <netinet/in.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -457,6 +458,46 @@ TEST_F(PlanServerTest, BatchStreamsPairsInOrder) {
   BinReader r(frame.payload);
   EXPECT_EQ(r.ReadVarint64(), 2u);
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST_F(PlanServerTest, ConnectionChurnReapsFinishedHandlers) {
+  // One handler thread per accepted connection; a long-running server must
+  // join the finished ones instead of keeping every thread until Shutdown
+  // (which would leave kCycles threads here).
+  StartServer(ServiceOptions{});
+  constexpr int kCycles = 2000;
+  size_t peak = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    auto conn = Connect();
+    ASSERT_NE(conn, nullptr) << "cycle " << i;
+    conn.reset();  // close without a request
+    if (i % 50 == 0) peak = std::max(peak, server_->handler_threads());
+  }
+  // Handlers still winding down at an accept are reaped by a later one,
+  // so the count tracks in-flight connections, not connections served.
+  EXPECT_LE(peak, static_cast<size_t>(kCycles / 4));
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto accepted_at_least = [&](uint64_t n) {
+    while (server_->connections_accepted() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return server_->connections_accepted() >= n;
+  };
+  ASSERT_TRUE(accepted_at_least(kCycles));
+
+  // Once the churn stops, one more connection reaps every finished
+  // handler: at most it and a straggler remain.
+  size_t settled = server_->handler_threads();
+  while (settled > 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    uint64_t accepted = server_->connections_accepted();
+    Connect().reset();
+    accepted_at_least(accepted + 1);
+    settled = server_->handler_threads();
+  }
+  EXPECT_LE(settled, 2u);
 }
 
 TEST_F(PlanServerTest, StatsAndInvalidateIntrospection) {
