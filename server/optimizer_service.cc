@@ -141,7 +141,9 @@ ServiceStatus OptimizerService::SetStats(const SetStatsRequest& req) {
   if (!query) return status;
 
   Catalog* catalog = query->mutable_catalog();
-  if (static_cast<int>(req.relation) >= catalog->num_relations()) {
+  // Unsigned compare: the wire carries any varint32, and an index of 2^31
+  // or more would turn negative as an int and slip past the check.
+  if (req.relation >= static_cast<uint32_t>(catalog->num_relations())) {
     return ServiceStatus::Error(
         ErrorCode::kBadRequest,
         "relation index out of range: " + std::to_string(req.relation));

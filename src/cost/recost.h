@@ -25,6 +25,14 @@
 // optimum's cost, giving the serving layer (plangen/plan_cache.h) a cheap
 // probe: if the re-costed cached plan is within drift_tolerance of that
 // bound, no re-planning can improve on it by more than the tolerance.
+//
+// The re-costed cost bounds the optimum from above as well: it is the
+// cost of a valid complete plan under the current statistics. When a
+// drifted hit falls outside the band, the re-plan that follows runs with
+// that cost as its bound (plangen.h, Optimize): C_out is monotone, so the
+// exact DP drops every candidate costing more without changing the plan
+// it returns, and falls back to an unbounded run if the bound undercuts
+// the DP's own optimum (DESIGN.md §14, "bounded re-plan").
 
 #ifndef EADP_COST_RECOST_H_
 #define EADP_COST_RECOST_H_

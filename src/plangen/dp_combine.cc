@@ -7,13 +7,15 @@ namespace eadp {
 
 CcpCombiner::CcpCombiner(const Query* query, PlanBuilder* builder,
                          DpTable* dp, Algorithm algorithm,
-                         double h2_tolerance, const DpTable* read_dp)
+                         double h2_tolerance, const DpTable* read_dp,
+                         double cost_bound)
     : query_(query),
       builder_(builder),
       dp_(dp),
       read_dp_(read_dp != nullptr ? read_dp : dp),
       algorithm_(algorithm),
-      h2_tolerance_(h2_tolerance) {
+      h2_tolerance_(h2_tolerance),
+      cost_bound_(cost_bound) {
   assert(algorithm_ != Algorithm::kGoo && algorithm_ != Algorithm::kIdp &&
          "CcpCombiner implements the DP insertion policies; the large-query "
          "strategies are drivers on top of them (large_query.h)");
@@ -32,7 +34,12 @@ bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
       PlanPtr t1 = read_dp_->Best(a);
       PlanPtr t2 = read_dp_->Best(b);
       if (!t1 || !t2) return false;
-      dp_->InsertIfCheaper(s, builder_->MakeJoin(t1, t2, crossing));
+      // Cost-bound pruning (constructor comment): every tree built from
+      // (t1, t2) costs at least t1->cost + t2->cost, rounding included.
+      if (t1->cost + t2->cost > cost_bound_) break;
+      PlanPtr t = builder_->MakeJoin(t1, t2, crossing);
+      if (t->cost > cost_bound_) break;
+      dp_->InsertIfCheaper(s, t);
       break;
     }
     case Algorithm::kH1:
@@ -55,9 +62,11 @@ bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
       if (plans_a.empty() || plans_b.empty()) return false;
       for (PlanPtr t1 : plans_a) {
         for (PlanPtr t2 : plans_b) {
+          if (t1->cost + t2->cost > cost_bound_) continue;
           trees_.clear();
           builder_->OpTrees(t1, t2, crossing, &trees_);
           for (PlanPtr t : trees_) {
+            if (t->cost > cost_bound_) continue;
             if (top) {
               // InsertTopLevelPlan: single best complete plan.
               dp_->InsertIfCheaper(s, t);

@@ -33,9 +33,16 @@ class CcpCombiner {
   /// (global, read-only during the level), while its target class — which
   /// kH2's InsertHeuristic also *reads* via Best(s) — lives in the shard
   /// of the worker owning that class.
+  ///
+  /// `cost_bound` (plangen.h, Optimize) prunes the kDphyp/kEaAll/kEaPrune
+  /// policies only: a source pair whose summed cost exceeds it is never
+  /// combined, and a built tree costing more is never inserted. C_out is
+  /// monotone (cost_model.h), so no discarded tree is part of a complete
+  /// plan within the bound. kH1/kH2 ignore the bound.
   CcpCombiner(const Query* query, PlanBuilder* builder, DpTable* dp,
               Algorithm algorithm, double h2_tolerance,
-              const DpTable* read_dp = nullptr);
+              const DpTable* read_dp = nullptr,
+              double cost_bound = kNoCostBound);
 
   /// Applies the input operators crossing the (s1, s2) cut — if any apply —
   /// and inserts the produced trees into the DP table under the algorithm's
@@ -44,7 +51,7 @@ class CcpCombiner {
   /// Returns true iff plans were built and offered to the table — false
   /// when no operator crosses the cut, the cut is conflict-blocked, or a
   /// source class holds no plans. (The offered plans may still all have
-  /// been pruned away by the insertion policy.)
+  /// been pruned away by the insertion policy or the cost bound.)
   bool Combine(RelSet s1, RelSet s2);
 
  private:
@@ -58,6 +65,7 @@ class CcpCombiner {
   const DpTable* read_dp_;  ///< source-class reads (== dp_ sequentially)
   Algorithm algorithm_;
   double h2_tolerance_;
+  double cost_bound_;
   /// Scratch list reused across cuts (OpTrees appends into it) so the DP
   /// loop does not allocate per pair.
   std::vector<PlanPtr> trees_;

@@ -29,10 +29,11 @@ OptimizeResult OptimizeAdaptiveConcurrent(const Query& query,
 }
 
 OptimizeResult OptimizeAdaptiveConcurrentUncached(
-    const Query& query, const OptimizerOptions& options, ThreadPool* pool) {
+    const Query& query, const OptimizerOptions& options, ThreadPool* pool,
+    double cost_bound) {
   if (pool == nullptr || pool->num_threads() < 2 ||
       query.NumRelations() <= options.adaptive_exact_relations) {
-    return OptimizeAdaptiveUncached(query, options);
+    return OptimizeAdaptiveUncached(query, options, cost_bound);
   }
   // Both strategies read the same const Query and build into private
   // arenas. kIdp goes to the pool; kGoo runs on the calling thread — the

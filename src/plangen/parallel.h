@@ -114,8 +114,10 @@ OptimizeResult OptimizeAdaptiveConcurrent(const Query& query,
 /// OptimizeAdaptiveConcurrent minus the cache probe (any cache pointers
 /// in `options` are ignored). This is the `plan_fresh` callback
 /// PlannerSession::OptimizeConcurrent hands to the shared probe path.
+/// `cost_bound` reaches the exact enumeration only (see Optimize).
 OptimizeResult OptimizeAdaptiveConcurrentUncached(
-    const Query& query, const OptimizerOptions& options, ThreadPool* pool);
+    const Query& query, const OptimizerOptions& options, ThreadPool* pool,
+    double cost_bound = kNoCostBound);
 
 }  // namespace eadp
 

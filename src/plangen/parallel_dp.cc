@@ -8,11 +8,11 @@ namespace eadp {
 ParallelDp::Worker::Worker(const Query* query,
                            const ConflictDetector* conflicts,
                            const OptimizerOptions& options,
-                           const DpTable* read_dp)
+                           const DpTable* read_dp, double cost_bound)
     : builder(query, conflicts, EffectiveBuilderOptions(options),
               std::make_shared<PlanArena>()),
       combiner(query, &builder, &shard, options.algorithm,
-               options.h2_tolerance, read_dp) {
+               options.h2_tolerance, read_dp, cost_bound) {
   shard.SetDominanceOptions(!options.prune_without_cardinality,
                             !options.prune_without_keys,
                             options.full_fd_dominance);
@@ -20,13 +20,14 @@ ParallelDp::Worker::Worker(const Query* query,
 
 ParallelDp::ParallelDp(const Query* query, const ConflictDetector* conflicts,
                        const OptimizerOptions& options, PlanBuilder* primary,
-                       DpTable* dp, int workers, ThreadPool* pool)
+                       DpTable* dp, int workers, ThreadPool* pool,
+                       double cost_bound)
     : primary_(primary), dp_(dp), pool_(pool) {
   int w = std::max(workers, 1);
   workers_.reserve(static_cast<size_t>(w));
   for (int i = 0; i < w; ++i) {
-    workers_.push_back(
-        std::make_unique<Worker>(query, conflicts, options, dp));
+    workers_.push_back(std::make_unique<Worker>(query, conflicts, options,
+                                                dp, cost_bound));
   }
 }
 

@@ -70,9 +70,11 @@ class ParallelDp {
   /// must already be present); `primary` is the run's main builder, whose
   /// arena adopts the worker arenas. `workers` is clamped to >= 1; `pool`
   /// may be null (inline execution — the degenerate sequential schedule).
+  /// `cost_bound` goes to every worker's combiner (dp_combine.h).
   ParallelDp(const Query* query, const ConflictDetector* conflicts,
              const OptimizerOptions& options, PlanBuilder* primary,
-             DpTable* dp, int workers, ThreadPool* pool);
+             DpTable* dp, int workers, ThreadPool* pool,
+             double cost_bound = kNoCostBound);
 
   /// Processes `levels` (index = |S1 ∪ S2|) in ascending order with a
   /// shard merge after each level.
@@ -83,7 +85,8 @@ class ParallelDp {
  private:
   struct Worker {
     Worker(const Query* query, const ConflictDetector* conflicts,
-           const OptimizerOptions& options, const DpTable* read_dp);
+           const OptimizerOptions& options, const DpTable* read_dp,
+           double cost_bound);
 
     PlanBuilder builder;
     DpTable shard;

@@ -50,9 +50,9 @@ void FoldOptionsIntoFingerprint(const PlannerKnobs& knobs,
   w.I32(knobs.idp_block_size);
   w.U8(static_cast<uint8_t>(knobs.idp_inner));
   w.I32(knobs.goo_merge_budget);
-  // dp_threads is folded even though parallel plans are cost-identical to
-  // sequential ones: generated-column names differ per worker count, so
-  // cross-serving would surprise anything reading plan internals.
+  // dp_threads is folded even though parallel plans encode to the same
+  // bytes as sequential ones: dropping it would change every key already
+  // on disk.
   w.I32(knobs.dp_threads);
 }
 
@@ -238,10 +238,11 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 namespace {
 
 /// Claims the entry's replan flag and enqueues a full re-plan of `query`
-/// on options.replan_pool; the completed result swaps into both tiers via
-/// Refresh/Put. Returns true when the stale entry may keep serving (a
-/// re-plan is now — or already was — in flight); false when background
-/// re-planning is unavailable and the caller must re-plan inline.
+/// under `cost_bound` on options.replan_pool; the completed result swaps
+/// into both tiers via Refresh/Put. Returns true when the stale entry may
+/// keep serving (a re-plan is now — or already was — in flight); false
+/// when background re-planning is unavailable and the caller must re-plan
+/// inline.
 ///
 /// The task snapshots the query by value (QuerySpec::FromQuery) and
 /// copies `plan_fresh`: the caller's stack frame is long gone when the
@@ -251,10 +252,9 @@ namespace {
 bool StartBackgroundReplan(
     const Query& query, const OptimizerOptions& options,
     const QueryFingerprint& fp, const StatsOverlay& overlay,
-    const PlanCache::Handle& entry,
-    const std::function<OptimizeResult(const Query&,
-                                       const OptimizerOptions&)>&
-        plan_fresh) {
+    const PlanCache::Handle& entry, double cost_bound,
+    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
+                                       double)>& plan_fresh) {
   if (options.replan_pool == nullptr || options.plan_cache == nullptr ||
       entry == nullptr) {
     return false;
@@ -276,9 +276,10 @@ bool StartBackgroundReplan(
   PlanCache* l1 = options.plan_cache;
   PersistentPlanCache* l2 = options.persistent_cache;
   options.replan_pool->Submit(
-      [snapshot, uncached, l1, l2, fp, overlay, entry, plan_fresh] {
+      [snapshot, uncached, l1, l2, fp, overlay, entry, cost_bound,
+       plan_fresh] {
         Query q = snapshot->ToQuery();
-        OptimizeResult fresh = plan_fresh(q, uncached);
+        OptimizeResult fresh = plan_fresh(q, uncached, cost_bound);
         if (fresh.plan != nullptr) {
           if (l2 != nullptr) l2->Put(fp, overlay, fresh);
           l1->Refresh(fp, overlay, std::move(fresh));
@@ -295,8 +296,8 @@ bool StartBackgroundReplan(
 
 OptimizeResult OptimizeThroughCache(
     const Query& query, const OptimizerOptions& options,
-    const std::function<OptimizeResult(const Query&, const OptimizerOptions&)>&
-        plan_fresh) {
+    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
+                                       double)>& plan_fresh) {
   auto start = std::chrono::steady_clock::now();
   auto elapsed_ms = [&start] {
     return std::chrono::duration<double, std::milli>(
@@ -309,6 +310,10 @@ OptimizeResult OptimizeThroughCache(
   // *replace* the stale entry (Refresh), not lose to it (Insert's
   // first-writer-wins).
   bool drifted = false;
+  // Cost of a drifted hit's plan re-costed under the current statistics:
+  // a valid complete plan, hence an upper bound on the re-plan's optimum
+  // (the bounded re-plan, DESIGN.md §14). The minimum over both tiers.
+  double replan_bound = kNoCostBound;
 
   // A structural hit whose overlay mismatches the probe: re-cost the
   // cached plan under the current catalog, serve within the tolerance
@@ -324,6 +329,7 @@ OptimizeResult OptimizeThroughCache(
       RecostResult rc = RecostPlan(cached.plan, query);
       if (rc.ok) {
         recosted = rc.cost;
+        replan_bound = std::min(replan_bound, rc.cost);
         // cached cost × scale lower-bounds the fresh optimum under the
         // probe's statistics (cost/recost.h); a re-plan can beat the
         // re-costed cached plan by at most the gap to that bound.
@@ -337,7 +343,7 @@ OptimizeResult OptimizeThroughCache(
     bool background =
         !within &&
         StartBackgroundReplan(query, options, fp, key.overlay, entry,
-                              plan_fresh);
+                              replan_bound, plan_fresh);
     if (options.plan_cache != nullptr) {
       options.plan_cache->RecordDriftOutcome(within, background);
     }
@@ -403,7 +409,7 @@ OptimizeResult OptimizeThroughCache(
   uncached.plan_cache = nullptr;
   uncached.persistent_cache = nullptr;
   uncached.replan_pool = nullptr;
-  OptimizeResult result = plan_fresh(query, uncached);
+  OptimizeResult result = plan_fresh(query, uncached, replan_bound);
   // Unsatisfiable queries stay uncached: a null plan carries no arena to
   // keep alive and costs nothing to rediscover.
   if (result.plan != nullptr) {

@@ -282,10 +282,15 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 /// re-plan runs inline and the fresh plan is served (cache_tier = 0).
 /// With drift_tolerance = 0 (default) every drifted hit re-plans, which
 /// reproduces the PR 8 stats-keyed behavior observationally.
+///
+/// Bounded re-plan (DESIGN.md §14): a drifted hit's re-costed cost is the
+/// cost of a valid complete plan under the current statistics, so the
+/// re-plan that follows — inline or background — receives it as
+/// `plan_fresh`'s cost bound. Misses plan with kNoCostBound.
 OptimizeResult OptimizeThroughCache(
     const Query& query, const OptimizerOptions& options,
-    const std::function<OptimizeResult(const Query&, const OptimizerOptions&)>&
-        plan_fresh);
+    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
+                                       double cost_bound)>& plan_fresh);
 
 }  // namespace eadp
 

@@ -41,14 +41,16 @@ namespace {
 
 class Generator {
  public:
-  Generator(const Query& query, const OptimizerOptions& options)
+  Generator(const Query& query, const OptimizerOptions& options,
+            double cost_bound)
       : query_(query),
         options_(options),
+        cost_bound_(cost_bound),
         conflicts_(query),
         builder_(&query, &conflicts_, EffectiveBuilderOptions(options),
                  std::make_shared<PlanArena>()),
         combiner_(&query, &builder_, &dp_, options.algorithm,
-                  options.h2_tolerance) {
+                  options.h2_tolerance, /*read_dp=*/nullptr, cost_bound) {
     dp_.SetDominanceOptions(!options.prune_without_cardinality,
                             !options.prune_without_keys,
                             options.full_fd_dominance);
@@ -87,7 +89,7 @@ class Generator {
       result.stats.ccp_count =
           CollectCsgCmpPairsBySize(conflicts_.hypergraph(), &levels);
       ParallelDp parallel(&query_, &conflicts_, options_, &builder_, &dp_,
-                          dp_workers, pool);
+                          dp_workers, pool, cost_bound_);
       parallel.RunLevels(levels);
       worker_plans_built = parallel.stats().worker_plans_built;
       result.stats.dp_barrier_wait_ms = parallel.stats().barrier_wait_ms;
@@ -126,6 +128,7 @@ class Generator {
  private:
   const Query& query_;
   const OptimizerOptions& options_;
+  double cost_bound_;
   ConflictDetector conflicts_;
   PlanBuilder builder_;
   DpTable dp_;
@@ -134,15 +137,25 @@ class Generator {
 
 }  // namespace
 
-OptimizeResult Optimize(const Query& query, const OptimizerOptions& options) {
+OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
+                        double cost_bound) {
   switch (options.algorithm) {
     case Algorithm::kGoo:
       return OptimizeGreedy(query, options);
     case Algorithm::kIdp:
       return OptimizeIdp(query, options);
     default: {
-      Generator gen(query, options);
-      return gen.Run();
+      OptimizeResult result = Generator(query, options, cost_bound).Run();
+      if (result.plan != nullptr || !(cost_bound < kNoCostBound)) {
+        return result;
+      }
+      // The bound undercut the unbounded result (rounding that differs
+      // from RecostPlan's, or a pruning run whose optimality preconditions
+      // fail — DESIGN.md §14): plan again without it.
+      double bounded_ms = result.stats.optimize_ms;
+      result = Generator(query, options, kNoCostBound).Run();
+      result.stats.optimize_ms += bounded_ms;
+      return result;
     }
   }
 }
@@ -156,11 +169,12 @@ OptimizeResult OptimizeAdaptive(const Query& query,
 }
 
 OptimizeResult OptimizeAdaptiveUncached(const Query& query,
-                                        const OptimizerOptions& options) {
+                                        const OptimizerOptions& options,
+                                        double cost_bound) {
   if (query.NumRelations() <= options.adaptive_exact_relations) {
     OptimizerOptions exact = options;
     if (!IsExhaustive(exact.algorithm)) exact.algorithm = Algorithm::kEaPrune;
-    return Optimize(query, exact);
+    return Optimize(query, exact, cost_bound);
   }
   // Run both large-query strategies and keep the cheaper plan: kGoo costs
   // O(n^2) crossing probes (single-digit ms at n=100), so racing it against

@@ -50,6 +50,7 @@
 #define EADP_PLANGEN_PLANGEN_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -131,13 +132,13 @@ struct PlannerKnobs {
   /// subproblems): csg-cmp-pairs are processed level-by-level over the
   /// subset size |S1 ∪ S2|, spread across this many workers within each
   /// level. 1 (the default) runs the plain sequential DP loop — small
-  /// queries pay nothing. Any worker count produces plans cost-identical
-  /// to the sequential run (bit-identical DP-table contents by
-  /// construction; pinned by parallel_dp_test). Folded into the plan-cache
-  /// fingerprint even though parallel plans are cost-identical: generated
-  /// column names differ per worker count, so cross-serving would surprise
-  /// anything reading plan internals. The pool the workers run on is
-  /// execution context (PlannerContext::dp_pool), not plan identity.
+  /// queries pay nothing. Any worker count produces the sequential run's
+  /// plan byte for byte (identical DP-table contents by construction,
+  /// generated columns named once by the primary builder; pinned by
+  /// parallel_dp_test). It is still folded into the plan-cache
+  /// fingerprint: dropping it would change every cache key already on
+  /// disk. The pool the workers run on is execution context
+  /// (PlannerContext::dp_pool), not plan identity.
   int dp_threads = 1;
 };
 
@@ -276,10 +277,25 @@ struct OptimizeResult {
   std::shared_ptr<PlanArena> arena;
 };
 
+/// "No cost bound": the default of every `cost_bound` parameter below.
+inline constexpr double kNoCostBound = std::numeric_limits<double>::infinity();
+
 /// Runs the selected plan generator over a (canonicalized) query. The
 /// exhaustive algorithms enumerate with DPhyp; kGoo/kIdp dispatch into the
 /// large-query subsystem.
-OptimizeResult Optimize(const Query& query, const OptimizerOptions& options);
+///
+/// `cost_bound` is an upper bound on the optimum the caller already knows
+/// — typically the cost of a valid complete plan under the query's current
+/// statistics (a re-costed cached plan, plan_cache.h). Under kDphyp,
+/// kEaAll and kEaPrune the DP then skips every candidate costing more
+/// (dp_combine.h); the heuristics and large-query strategies ignore it.
+/// The returned plan is byte-identical to the unbounded run's (DESIGN.md
+/// §14, "bounded re-plan"). If the bound is below the unbounded run's
+/// result, the bounded run finds no complete plan and Optimize re-runs
+/// unbounded; the counters then describe the unbounded run, while
+/// optimize_ms covers both.
+OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
+                        double cost_bound = kNoCostBound);
 
 /// The adaptive facade: exact enumeration for queries with at most
 /// `options.adaptive_exact_relations` relations (using `options.algorithm`;
@@ -304,8 +320,11 @@ OptimizeResult OptimizeAdaptive(const Query& query,
 /// OptimizeThroughCache (the one probe/populate path); exposed so other
 /// uncached callers (background re-plans, differential references) can
 /// name the planning step without shedding the context fields first.
+/// `cost_bound` reaches the exact enumeration only (see Optimize); the
+/// large-query strategies ignore it.
 OptimizeResult OptimizeAdaptiveUncached(const Query& query,
-                                        const OptimizerOptions& options);
+                                        const OptimizerOptions& options,
+                                        double cost_bound = kNoCostBound);
 
 /// Merges the two completed large-query race results into the facade's
 /// result: the cheaper plan wins (kIdp on cost ties, matching the

@@ -58,19 +58,23 @@ OptimizeResult PlannerSession::OptimizeImpl(
     // cache pointers cleared so inner facade calls can't re-probe.
     return OptimizeThroughCache(query, options_, plan_fresh);
   }
-  return plan_fresh(query, options_);
+  return plan_fresh(query, options_, kNoCostBound);
 }
 
 OptimizeResult PlannerSession::Optimize(const Query& query) const {
-  return OptimizeImpl(query, &OptimizeAdaptiveUncached);
+  return OptimizeImpl(query, [](const Query& q, const OptimizerOptions& o,
+                                double cost_bound) {
+    return OptimizeAdaptiveUncached(q, o, cost_bound);
+  });
 }
 
 OptimizeResult PlannerSession::OptimizeConcurrent(const Query& query,
                                                   ThreadPool* race_pool) const {
-  return OptimizeImpl(
-      query, [race_pool](const Query& q, const OptimizerOptions& o) {
-        return OptimizeAdaptiveConcurrentUncached(q, o, race_pool);
-      });
+  return OptimizeImpl(query, [race_pool](const Query& q,
+                                         const OptimizerOptions& o,
+                                         double cost_bound) {
+    return OptimizeAdaptiveConcurrentUncached(q, o, race_pool, cost_bound);
+  });
 }
 
 BatchResult PlannerSession::OptimizeBatch(std::span<const Query> queries,

@@ -100,8 +100,9 @@ class PlannerSession {
                             int num_threads) const;
 
  private:
-  using PlanFreshFn =
-      std::function<OptimizeResult(const Query&, const OptimizerOptions&)>;
+  /// Plans one query uncached under a cost bound (OptimizeThroughCache).
+  using PlanFreshFn = std::function<OptimizeResult(
+      const Query&, const OptimizerOptions&, double cost_bound)>;
 
   /// THE probe path: every session entry point (and through the shims,
   /// every facade call in the codebase) goes through here. With any cache

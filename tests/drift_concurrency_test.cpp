@@ -12,7 +12,9 @@
 //   * the replan_pending flag admits at most one in-flight background
 //     re-plan per entry, and the pool drains before the caches die
 //     (declaration order: cache before pool, so the pool's destructor —
-//     which runs queued re-plans that touch the cache — finishes first).
+//     which runs queued re-plans that touch the cache — finishes first);
+//   * a background re-plan, bounded by the re-costed stale plan, swaps in
+//     the same plan bytes a fresh unbounded optimization produces.
 //
 // Each worker drifts a PRIVATE QuerySpec clone (catalog mutation is not
 // thread-safe and production drifts arrive through single-writer stats
@@ -33,6 +35,7 @@
 #include "plangen/plangen.h"
 #include "queries/mutation.h"
 #include "queries/query_generator.h"
+#include "tests/test_util.h"
 
 namespace eadp {
 namespace {
@@ -194,6 +197,39 @@ TEST(DriftConcurrency, ReplanPendingAdmitsOneInFlightReplan) {
   OptimizeResult r = OptimizeAdaptive(drifted, options);
   EXPECT_TRUE(r.stats.cache_hit);
   EXPECT_FALSE(r.stats.replan_background);
+}
+
+TEST(DriftConcurrency, BackgroundReplanMatchesAFreshUnboundedPlan) {
+  PlanCache cache;
+  ThreadPool replan_pool(2);
+  Rng rng(77);
+  for (int n = 4; n <= 8; ++n) {
+    Query q = MakeQuery(n, 600 + static_cast<uint64_t>(n));
+    QuerySpec spec = QuerySpec::FromQuery(q);
+    OptimizerOptions options;
+    options.plan_cache = &cache;
+    options.replan_pool = &replan_pool;
+    ASSERT_NE(OptimizeAdaptive(q, options).plan, nullptr) << "n=" << n;
+
+    DriftGently(&spec.catalog, &rng);
+    Query drifted = spec.ToQuery();
+    uint64_t refreshes = cache.Snapshot().refreshes;
+    OptimizeResult served = OptimizeAdaptive(drifted, options);
+    ASSERT_TRUE(served.stats.replan_background) << "n=" << n;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (cache.Snapshot().refreshes == refreshes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(cache.Snapshot().refreshes, refreshes + 1) << "n=" << n;
+
+    OptimizeResult refreshed = OptimizeAdaptive(drifted, options);
+    EXPECT_TRUE(refreshed.stats.cache_hit) << "n=" << n;
+    EXPECT_FALSE(refreshed.stats.replan_background) << "n=" << n;
+    OptimizeResult fresh = OptimizeAdaptive(drifted, OptimizerOptions{});
+    EXPECT_EQ(PlanOnlyBytes(refreshed), PlanOnlyBytes(fresh)) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -19,7 +19,11 @@
 //     the stale plan serves immediately and the refreshed entry later
 //     turns probes into exact hits;
 //   * the disk tier — drifted L2 hits re-plan under zero tolerance and
-//     re-cost-serve under a generous one.
+//     re-cost-serve under a generous one;
+//   * the bounded re-plan — Optimize under a cost bound (the re-costed
+//     pre-drift optimum, the exact optimum, just below it, +inf) returns
+//     the unbounded run's plan bytes while building no more plans, and
+//     the heuristics and large-query strategies ignore the bound.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -45,6 +49,8 @@
 #include "queries/fingerprint.h"
 #include "queries/mutation.h"
 #include "queries/query_generator.h"
+#include "queries/tpch.h"
+#include "tests/test_util.h"
 
 namespace eadp {
 namespace {
@@ -334,6 +340,97 @@ TEST(Drift, BackgroundReplanServesStaleThenSwapsIn) {
   EXPECT_FALSE(warm.stats.replan_background);
   EXPECT_EQ(warm.stats.cache_tier, 1);
   EXPECT_EQ(warm.plan->cost, fresh.plan->cost);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded re-plan (DESIGN.md §14): a cost bound never changes the plan.
+// ---------------------------------------------------------------------------
+
+/// The generator corpus (n = 3..9) and the TPC-H skeletons, each paired
+/// with a drifted twin: same structure, statistics moved by
+/// ApplyStatsDrift's 0.2-5x swings.
+struct DriftPair {
+  std::string label;
+  Query before;
+  Query after;
+};
+
+std::vector<DriftPair> BoundedPinCorpus() {
+  std::vector<Query> queries;
+  for (int n = 3; n <= 9; ++n) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      queries.push_back(MakeQuery(n, 40 + seed));
+    }
+  }
+  for (Query (*make)() : {&MakeTpchEx, &MakeTpchQ1, &MakeTpchQ3, &MakeTpchQ5,
+                          &MakeTpchQ10, &MakeTpchQ18}) {
+    queries.push_back(make());
+  }
+  std::vector<DriftPair> corpus;
+  Rng rng(2015);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QuerySpec spec = QuerySpec::FromQuery(queries[i]);
+    while (!ApplyStatsDrift(&spec.catalog, &rng)) {
+    }
+    corpus.push_back({"query " + std::to_string(i), std::move(queries[i]),
+                      spec.ToQuery()});
+  }
+  return corpus;
+}
+
+TEST(BoundedReplan, ExactGeneratorsReturnTheUnboundedPlan) {
+  ThreadPool dp_pool(3);
+  for (const DriftPair& pair : BoundedPinCorpus()) {
+    for (Algorithm algorithm :
+         {Algorithm::kDphyp, Algorithm::kEaAll, Algorithm::kEaPrune}) {
+      for (int threads : {1, 4}) {
+        OptimizerOptions options;
+        options.algorithm = algorithm;
+        options.dp_threads = threads;
+        options.dp_pool = &dp_pool;
+        std::string label = pair.label + " " + AlgorithmName(algorithm) +
+                            " threads=" + std::to_string(threads);
+        OptimizeResult cached = Optimize(pair.before, options);
+        OptimizeResult unbounded = Optimize(pair.after, options);
+        ASSERT_NE(cached.plan, nullptr) << label;
+        ASSERT_NE(unbounded.plan, nullptr) << label;
+        RecostResult rc = RecostPlan(cached.plan, pair.after);
+        ASSERT_TRUE(rc.ok) << label;
+        const double optimum = unbounded.plan->cost;
+        const std::string want = PlanOnlyBytes(unbounded);
+        for (double bound : {rc.cost, optimum, std::nextafter(optimum, 0.0),
+                             kNoCostBound}) {
+          OptimizeResult bounded = Optimize(pair.after, options, bound);
+          ASSERT_NE(bounded.plan, nullptr) << label << " bound=" << bound;
+          EXPECT_EQ(PlanOnlyBytes(bounded), want)
+              << label << " bound=" << bound;
+          EXPECT_LE(bounded.stats.plans_built, unbounded.stats.plans_built)
+              << label << " bound=" << bound;
+        }
+      }
+    }
+  }
+}
+
+TEST(BoundedReplan, HeuristicsAndLargeQueryStrategiesIgnoreTheBound) {
+  for (const DriftPair& pair : BoundedPinCorpus()) {
+    for (Algorithm algorithm : {Algorithm::kH1, Algorithm::kH2,
+                                Algorithm::kGoo, Algorithm::kIdp}) {
+      OptimizerOptions options;
+      options.algorithm = algorithm;
+      std::string label = pair.label + " " + AlgorithmName(algorithm);
+      OptimizeResult unbounded = Optimize(pair.after, options);
+      ASSERT_NE(unbounded.plan, nullptr) << label;
+      const double cost = unbounded.plan->cost;
+      for (double bound : {cost, std::nextafter(cost, 0.0), 0.0}) {
+        OptimizeResult bounded = Optimize(pair.after, options, bound);
+        EXPECT_EQ(PlanOnlyBytes(bounded), PlanOnlyBytes(unbounded))
+            << label << " bound=" << bound;
+        EXPECT_EQ(bounded.stats.plans_built, unbounded.stats.plans_built)
+            << label << " bound=" << bound;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

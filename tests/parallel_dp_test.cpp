@@ -38,7 +38,6 @@
 #include "common/thread_pool.h"
 #include "plangen/large_query.h"
 #include "plangen/plan_cache.h"
-#include "plangen/plan_serde.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
 #include "queries/data_generator.h"
@@ -100,14 +99,6 @@ void ExpectSameShape(const RunShape& seq, const RunShape& par,
   EXPECT_EQ(seq.pruned_existing, par.pruned_existing) << label;
 }
 
-/// EncodePlan bytes of the plan alone (stats carry timings, which differ
-/// run to run).
-std::string PlanBytes(const OptimizeResult& r) {
-  OptimizeResult plan_only;
-  plan_only.plan = r.plan;
-  return EncodePlan(plan_only);
-}
-
 TEST(ParallelDpIdentity, SmallCorpusAllPoliciesAllWorkerCounts) {
   for (const Query& query : SmallCorpus()) {
     for (Algorithm a : {Algorithm::kDphyp, Algorithm::kEaPrune,
@@ -116,7 +107,7 @@ TEST(ParallelDpIdentity, SmallCorpusAllPoliciesAllWorkerCounts) {
       options.algorithm = a;
       OptimizeResult sequential = Optimize(query, options);
       RunShape seq = ShapeOf(sequential);
-      const std::string seq_bytes = PlanBytes(sequential);
+      const std::string seq_bytes = PlanOnlyBytes(sequential);
       for (int workers : {2, 4, 8}) {
         options.dp_threads = workers;
         OptimizeResult par = Optimize(query, options);
@@ -125,7 +116,7 @@ TEST(ParallelDpIdentity, SmallCorpusAllPoliciesAllWorkerCounts) {
                             query.ToString();
         ExpectSameShape(seq, ShapeOf(par), label);
         // Same tree, same generated column names.
-        EXPECT_EQ(PlanBytes(par), seq_bytes) << label;
+        EXPECT_EQ(PlanOnlyBytes(par), seq_bytes) << label;
         if (par.plan != nullptr) {
           EXPECT_TRUE(ValidatePlan(par.plan, query).empty());
         }
@@ -268,7 +259,7 @@ TEST(ParallelDpIdp, GatedSubproblemsMatchSequentialIdp) {
     EXPECT_EQ(par.stats.pruned_candidates, seq.stats.pruned_candidates);
     EXPECT_EQ(par.stats.dp_workers, 4);
     EXPECT_TRUE(ValidatePlan(par.plan, query).empty());
-    EXPECT_EQ(PlanBytes(par), PlanBytes(seq));
+    EXPECT_EQ(PlanOnlyBytes(par), PlanOnlyBytes(seq));
   }
 }
 

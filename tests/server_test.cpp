@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <string>
@@ -375,6 +376,13 @@ TEST_F(PlanServerTest, BadSpecLinesAreRequestErrors) {
   EXPECT_FALSE(conn->Optimize("ghost", "gen chain 4 default 1 :", nullptr,
                               nullptr, &err));
   EXPECT_EQ(err.code, ErrorCode::kNoSuchSession);
+  // Relation indices that turn negative as an int must not pass the range
+  // check and write outside the catalog.
+  for (uint32_t relation : {0x80000000u, UINT32_MAX}) {
+    SetStatsRequest stats{"s", "gen chain 4 default 1 :", relation, 100.0};
+    EXPECT_FALSE(conn->SetStats(stats, &err)) << relation;
+    EXPECT_EQ(err.code, ErrorCode::kBadRequest) << relation;
+  }
   // The connection survived all of it.
   ASSERT_TRUE(conn->Optimize("s", "gen chain 4 default 1 :", nullptr,
                              nullptr, &err))

@@ -11,6 +11,7 @@
 #include "conflict/conflict_detector.h"
 #include "exec/plan_executor.h"
 #include "plangen/op_trees.h"
+#include "plangen/plan_serde.h"
 #include "plangen/plangen.h"
 #include "queries/data_generator.h"
 
@@ -144,6 +145,14 @@ inline Query MakeTwoRelQuery(const TwoRelSpec& spec) {
                             std::move(aggs));
   q.Canonicalize();
   return q;
+}
+
+/// EncodePlan bytes of the plan alone (stats carry timings, which differ
+/// run to run): the bit-identity currency of the differential pins.
+inline std::string PlanOnlyBytes(const OptimizeResult& r) {
+  OptimizeResult plan_only;
+  plan_only.plan = r.plan;
+  return EncodePlan(plan_only);
 }
 
 /// Executes `plan` and the canonical evaluation and returns true on bag
