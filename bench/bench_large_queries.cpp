@@ -8,7 +8,10 @@
 // IDP wins on chains/stars where bounded exact subproblems capture most of
 // the join order, GOO wins on cycles and is the only planner for cliques
 // (whose prefix-shaped SES sets defeat IDP's group selection), and both
-// beat the original tree's cost by orders of magnitude.
+// beat the original tree's cost by orders of magnitude. The adaptive
+// facade runs GOO first and bounds IDP by GOO's cost (DESIGN.md §14,
+// "seeded bound"), so where GOO wins, IDP gives up early and "adapt ms"
+// falls well below "GOO ms" + "IDP ms".
 //
 // Machine-readable records (EADP_BENCH_JSON, see bench_util.h): per-case
 // median runtime (median_ms) and median plan cost (value), folded into

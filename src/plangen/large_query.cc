@@ -81,14 +81,20 @@ class LargeQueryRun {
   /// original cut, where the conflict rules trivially hold.
   PlanPtr CanonicalPlan() { return CanonicalRec(query_.root()); }
 
-  /// Finalizes `plan` if it is not already finalized, materializes it,
-  /// fills the stats and hands the arena over.
-  OptimizeResult Finish(PlanPtr plan, Algorithm used) {
+  /// `plan` with the top grouping and final map added, unless it already
+  /// ends in them (trees covering the whole query arrive finalized).
+  PlanPtr Finalize(PlanPtr plan) {
     if (plan != nullptr && plan->op != PlanOp::kFinalMap) {
       plan = builder_.FinalizeTop(plan);
     }
+    return plan;
+  }
+
+  /// Finalizes `plan`, materializes it, fills the stats and hands the
+  /// arena over.
+  OptimizeResult Finish(PlanPtr plan, Algorithm used) {
     OptimizeResult result;
-    result.plan = builder_.Materialize(plan);
+    result.plan = builder_.Materialize(Finalize(plan));
     result.stats.algorithm = used;
     result.stats.ccp_count = cuts_tried_;
     result.stats.plans_built = builder_.plans_built() + worker_plans_built_;
@@ -142,11 +148,10 @@ struct RelSetPairHash {
   }
 };
 
-}  // namespace
-
-OptimizeResult OptimizeGreedy(const Query& query,
-                              const OptimizerOptions& options) {
-  LargeQueryRun run(query, options);
+/// kGoo's merge loop: the unfinalized plan of the last remaining unit, or
+/// the canonical plan when merging gets stuck.
+PlanPtr GreedyPlan(LargeQueryRun& run) {
+  const OptimizerOptions& options = run.options();
   std::vector<PlanPtr> units = run.MakeLeafUnits();
 
   // Cheapest OpTrees combination per unit pair, keyed by the pair's
@@ -214,17 +219,31 @@ OptimizeResult OptimizeGreedy(const Query& query,
       // CD-C's conservative rules only admit merges that keep the
       // remaining ops applicable along the original tree), so the branch
       // is exercised via OptimizerOptions::goo_merge_budget.
-      return run.Finish(run.CanonicalPlan(), Algorithm::kGoo);
+      return run.CanonicalPlan();
     }
     units[bi] = best;
     units.erase(units.begin() + static_cast<ptrdiff_t>(bj));
     ++merges;
   }
-  return run.Finish(units[0], Algorithm::kGoo);
+  return units[0];
 }
 
-OptimizeResult OptimizeIdp(const Query& query,
-                           const OptimizerOptions& options) {
+}  // namespace
+
+OptimizeResult OptimizeGreedy(const Query& query,
+                              const OptimizerOptions& options) {
+  LargeQueryRun run(query, options);
+  return run.Finish(GreedyPlan(run), Algorithm::kGoo);
+}
+
+double GreedyPlanCost(const Query& query, const OptimizerOptions& options) {
+  LargeQueryRun run(query, options);
+  PlanPtr plan = run.Finalize(GreedyPlan(run));
+  return plan != nullptr ? plan->cost : kNoCostBound;
+}
+
+OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
+                           double cost_bound) {
   LargeQueryRun run(query, options);
   std::vector<PlanPtr> units = run.MakeLeafUnits();
   // Clamped: the subset-split DP below enumerates 2^(k+2) unit classes in
@@ -232,6 +251,7 @@ OptimizeResult OptimizeIdp(const Query& query,
   int k = std::clamp(options.idp_block_size, 2, 16);
   Algorithm inner = IsExhaustive(options.idp_inner) ? options.idp_inner
                                                     : Algorithm::kEaPrune;
+  const bool bounded = cost_bound < kNoCostBound;
 
   // Two units are adjacent when some input operator references relations
   // of both — weaker than hypergraph connectivity (a hyperedge side may
@@ -328,13 +348,31 @@ OptimizeResult OptimizeIdp(const Query& query,
     for (int b = 0; b < g; ++b) {
       dp.Append(class_rels[uint32_t{1} << b], units[group[static_cast<size_t>(b)]]);
     }
-    if (dp_workers > 1 && g >= kParallelMinGroup) {
+    // Under a cost bound (large_query.h) a class can be empty for two
+    // reasons: conflict rules block every split of it, or every plan it
+    // would hold costs more than the bound. Only the first may send the
+    // run to the salvage below, so the sequential loop also tracks
+    // reachability, which the bound does not change: a class is reachable
+    // when some split of it has valid crossing operators and two
+    // reachable sides — exactly the classes the unbounded run fills. A
+    // split whose sides both hold plans learns that from Combine; only
+    // splits with a side the bound emptied probe the crossing themselves.
+    const bool parallel = dp_workers > 1 && g >= kParallelMinGroup;
+    const bool pruned = bounded && !parallel;
+    std::vector<char> reachable;
+    if (pruned) {
+      reachable.assign(full + 1, 0);
+      for (int b = 0; b < g; ++b) reachable[uint32_t{1} << b] = 1;
+    }
+    if (parallel) {
       // Bucket the splits by target relation count — unit relation sets
       // are disjoint and non-empty, so a split's sources always sit at
       // strictly smaller levels, the prerequisite of the parallel
       // schedule. Per-class split order matches the sequential loop (all
       // splits of one mask are contiguous and emitted in the same order),
-      // so the table contents are identical (see parallel_dp.h).
+      // so the table contents are identical (see parallel_dp.h). The
+      // bound does not reach this path: its winners are the unbounded
+      // ones, checked against the bound below.
       std::vector<std::vector<CcpPair>> levels(
           static_cast<size_t>(query.NumRelations()) + 1);
       for (uint32_t mask = 3; mask <= full; ++mask) {
@@ -364,7 +402,8 @@ OptimizeResult OptimizeIdp(const Query& query,
       }
     } else {
       CcpCombiner combiner(&query, &run.builder(), &dp, inner,
-                           options.h2_tolerance);
+                           options.h2_tolerance, /*read_dp=*/nullptr,
+                           cost_bound);
       for (uint32_t mask = 3; mask <= full; ++mask) {
         if (std::popcount(mask) < 2) continue;
         uint32_t lowest = mask & (~mask + 1);
@@ -374,27 +413,40 @@ OptimizeResult OptimizeIdp(const Query& query,
           if ((sub & lowest) == 0) continue;
           uint32_t comp = mask ^ sub;
           if (comp == 0) continue;
-          if (!dp.Has(class_rels[sub]) || !dp.Has(class_rels[comp])) continue;
+          if (!dp.Has(class_rels[sub]) || !dp.Has(class_rels[comp])) {
+            if (pruned && !reachable[mask] && reachable[sub] &&
+                reachable[comp] &&
+                run.builder()
+                    .FindCrossingOps(class_rels[sub], class_rels[comp])
+                    .valid) {
+              reachable[mask] = 1;
+            }
+            continue;
+          }
           run.CountCut();
-          combiner.Combine(class_rels[sub], class_rels[comp]);
+          if (combiner.Combine(class_rels[sub], class_rels[comp]) &&
+              pruned) {
+            reachable[mask] = 1;
+          }
         }
       }
     }
 
     // The winner replaces its units. When conflict rules leave the full
-    // group uncombinable, salvage the class that joins the most units
-    // (cheapest on ties) so the iteration still makes progress.
+    // group uncombinable, salvage the reachable class that joins the most
+    // units (cheapest on ties) so the iteration still makes progress.
     PlanPtr win = dp.Best(class_rels[full]);
     uint32_t win_mask = full;
+    int best_count = g;
     if (win == nullptr) {
-      int best_count = 1;
+      best_count = 1;
       for (uint32_t mask = 3; mask <= full; ++mask) {
         int count = std::popcount(mask);
-        if (count < 2) continue;
+        if (count < 2 || count < best_count) continue;
+        if (pruned ? !reachable[mask] : !dp.Has(class_rels[mask])) continue;
         PlanPtr p = dp.Best(class_rels[mask]);
-        if (p == nullptr) continue;
         if (count > best_count ||
-            (count == best_count && win != nullptr && p->cost < win->cost)) {
+            (p != nullptr && (win == nullptr || p->cost < win->cost))) {
           win = p;
           win_mask = mask;
           best_count = count;
@@ -402,6 +454,14 @@ OptimizeResult OptimizeIdp(const Query& query,
       }
     }
     run.AbsorbTableStats(dp);
+    if (win == nullptr ? best_count >= 2 : win->cost > cost_bound) {
+      // The unbounded run's winner here costs more than the bound: its
+      // class is reachable but the bound emptied it, or (kH1/kH2 inner
+      // policies, which ignore the bound) it was kept anyway. Every later
+      // plan contains that winner, so the final plan would cost more than
+      // the bound and lose the race: stop.
+      return run.Finish(nullptr, Algorithm::kIdp);
+    }
     if (win == nullptr) {
       blocked.push_back(units[seed]->rels);
       continue;

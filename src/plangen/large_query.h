@@ -55,10 +55,26 @@ namespace eadp {
 OptimizeResult OptimizeGreedy(const Query& query,
                               const OptimizerOptions& options);
 
+/// The cost of OptimizeGreedy's plan, bit for bit, without materializing
+/// the plan or filling stats: the adaptive facade's cost-bound seed for
+/// the exact enumeration (DESIGN.md §14, "seeded bound"). kNoCostBound
+/// when kGoo finds no plan.
+double GreedyPlanCost(const Query& query, const OptimizerOptions& options);
+
 /// Iterative DP with bounded exact subproblems. Returns a null plan only
 /// when conflict rules leave no unit group combinable (OptimizeAdaptive
-/// then falls back to kGoo).
-OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options);
+/// then falls back to kGoo), or when the run gives up under `cost_bound`.
+///
+/// `cost_bound` is the cost of a complete plan IDP races against (kGoo's,
+/// in the adaptive facade). Every subproblem's combiner prunes plans
+/// costing more than the bound, and the run returns a null plan as soon
+/// as a subproblem's winner costs more — the final plan contains that
+/// winner, so it would cost more than the bound and lose the race.
+/// Otherwise the plan is byte-identical to the unbounded run's (DESIGN.md
+/// §14, "seeded bound"). Plans costing exactly the bound are kept, since
+/// PickAdaptiveWinner gives ties to kIdp.
+OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
+                           double cost_bound = kNoCostBound);
 
 /// The unoptimized plan: the query's own operator tree, finalized with the
 /// single top grouping. Null only if some original cut admits no operator

@@ -93,11 +93,14 @@ BatchResult OptimizeBatch(std::span<const Query> queries,
 /// private arenas; the caller waits for *both* results, PickAdaptiveWinner
 /// keeps the cheaper plan and the loser's arena is dropped wholesale
 /// (DESIGN.md §8 ownership rules — no node of one run ever points into the
-/// other's arena). Cost-identical to the sequential facade by
-/// construction; wall clock is ~max(t_goo, t_idp) instead of their *sum* —
-/// both results must be in hand before the comparison, so the slower
-/// strategy bounds latency (a first-finisher-wins scheme would be faster
-/// but scheduler-dependent, breaking the determinism contract).
+/// other's arena). Here kIdp runs unbounded, since it starts before kGoo's
+/// cost exists; the sequential facade bounds kIdp by that cost, and kIdp
+/// gives up there only where it would lose the race, so both return the
+/// same plan (DESIGN.md §14, "seeded bound"; pinned by seeded_bound_test).
+/// Wall clock is ~max(t_goo, t_idp) — both results must be in hand before
+/// the comparison, so the slower strategy bounds latency (a
+/// first-finisher-wins scheme would be faster but scheduler-dependent,
+/// breaking the determinism contract).
 ///
 /// Falls back to the sequential OptimizeAdaptive when `pool` is null or
 /// has fewer than 2 threads (matching the batch entry point's sequential
@@ -114,7 +117,9 @@ OptimizeResult OptimizeAdaptiveConcurrent(const Query& query,
 /// OptimizeAdaptiveConcurrent minus the cache probe (any cache pointers
 /// in `options` are ignored). This is the `plan_fresh` callback
 /// PlannerSession::OptimizeConcurrent hands to the shared probe path.
-/// `cost_bound` reaches the exact enumeration only (see Optimize).
+/// `cost_bound` reaches the exact enumeration only (see
+/// OptimizeAdaptiveUncached, which also plans the queries at or below the
+/// exact threshold).
 OptimizeResult OptimizeAdaptiveConcurrentUncached(
     const Query& query, const OptimizerOptions& options, ThreadPool* pool,
     double cost_bound = kNoCostBound);

@@ -39,6 +39,11 @@ const char* AlgorithmName(Algorithm a) {
 
 namespace {
 
+/// The exact facade seeds queries with at least this many relations:
+/// below it the GOO run costs more than the bound saves (measured in
+/// DESIGN.md §14, "seeded bound").
+constexpr int kSeedMinRelations = 5;
+
 class Generator {
  public:
   Generator(const Query& query, const OptimizerOptions& options,
@@ -174,24 +179,46 @@ OptimizeResult OptimizeAdaptiveUncached(const Query& query,
   if (query.NumRelations() <= options.adaptive_exact_relations) {
     OptimizerOptions exact = options;
     if (!IsExhaustive(exact.algorithm)) exact.algorithm = Algorithm::kEaPrune;
-    return Optimize(query, exact, cost_bound);
+    // Seeded bound (DESIGN.md §14): GOO's cost bounds the eager-aggregation
+    // enumerations, whose search space normally holds GOO's plan (when it
+    // does not, Optimize re-runs unbounded). DPhyp's lazy optimum can cost
+    // more than GOO's eager groupings, which would force that re-run every
+    // time; H1/H2 ignore bounds; a caller's bound already comes from a
+    // complete plan; and below kSeedMinRelations the GOO run costs more
+    // than it prunes.
+    bool seed = !(cost_bound < kNoCostBound) &&
+                query.NumRelations() >= kSeedMinRelations &&
+                (exact.algorithm == Algorithm::kEaAll ||
+                 exact.algorithm == Algorithm::kEaPrune);
+    if (!seed) return Optimize(query, exact, cost_bound);
+    auto start = std::chrono::steady_clock::now();
+    double goo_cost = GreedyPlanCost(query, exact);
+    double seed_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    OptimizeResult result = Optimize(query, exact, goo_cost);
+    result.stats.optimize_ms += seed_ms;
+    return result;
   }
   // Run both large-query strategies and keep the cheaper plan: kGoo costs
   // O(n^2) crossing probes (single-digit ms at n=100), so racing it against
   // kIdp buys a guaranteed `adaptive <= min(kIdp, kGoo)` cost for free and
   // covers the topologies where bounded subproblems cannot combine at all
   // (e.g. cliques, whose prefix-shaped SES sets defeat group selection).
-  // The concurrent variant of this race lives in plangen/parallel.h; both
+  // kGoo runs first so its cost bounds kIdp, which gives up once it cannot
+  // win. A caller's bound never gets here: kIdp is not exact, so a bound
+  // that is not the race's own could flip the winner. The concurrent
+  // variant of this race (plangen/parallel.h) runs both unbounded; both
   // funnel through PickAdaptiveWinner.
-  OptimizeResult idp = OptimizeIdp(query, options);
   OptimizeResult goo = OptimizeGreedy(query, options);
+  OptimizeResult idp = OptimizeIdp(
+      query, options, goo.plan != nullptr ? goo.plan->cost : kNoCostBound);
   return PickAdaptiveWinner(std::move(idp), std::move(goo));
 }
 
 OptimizeResult PickAdaptiveWinner(OptimizeResult idp, OptimizeResult goo) {
-  if (idp.plan == nullptr) return goo;
-  if (goo.plan == nullptr) return idp;
-  bool goo_wins = goo.plan->cost < idp.plan->cost;
+  bool goo_wins = idp.plan == nullptr ||
+                  (goo.plan != nullptr && goo.plan->cost < idp.plan->cost);
   OptimizeResult result = goo_wins ? std::move(goo) : std::move(idp);
   const OptimizeResult& loser = goo_wins ? idp : goo;  // the unmoved one
   // The facade's cost is both runs, not just the winner's.

@@ -42,9 +42,11 @@
 // OptimizeAdaptive is the production entry point: exact DP up to
 // OptimizerOptions::adaptive_exact_relations; above that both large-query
 // strategies run and the cheaper plan wins (kGoo doubling as the
-// always-terminating fallback). Differential tests pin that the facade is
+// always-terminating fallback). Both paths are bounded by kGoo's cost
+// (OptimizeAdaptiveUncached). Differential tests pin that the facade is
 // cost-identical to kEaPrune on every corpus query where exact DP runs
-// (large_query_test).
+// (large_query_test) and byte-identical to the unseeded facade
+// (seeded_bound_test).
 
 #ifndef EADP_PLANGEN_PLANGEN_H_
 #define EADP_PLANGEN_PLANGEN_H_
@@ -285,15 +287,17 @@ inline constexpr double kNoCostBound = std::numeric_limits<double>::infinity();
 /// large-query subsystem.
 ///
 /// `cost_bound` is an upper bound on the optimum the caller already knows
-/// — typically the cost of a valid complete plan under the query's current
-/// statistics (a re-costed cached plan, plan_cache.h). Under kDphyp,
-/// kEaAll and kEaPrune the DP then skips every candidate costing more
-/// (dp_combine.h); the heuristics and large-query strategies ignore it.
-/// The returned plan is byte-identical to the unbounded run's (DESIGN.md
-/// §14, "bounded re-plan"). If the bound is below the unbounded run's
-/// result, the bounded run finds no complete plan and Optimize re-runs
-/// unbounded; the counters then describe the unbounded run, while
-/// optimize_ms covers both.
+/// — the cost of a valid complete plan under the query's current
+/// statistics: a re-costed cached plan (plan_cache.h) or GOO's plan (the
+/// adaptive facade's seed). Under kDphyp, kEaAll and kEaPrune the DP then
+/// skips every candidate costing more (dp_combine.h); the heuristics and
+/// large-query strategies ignore it. The returned plan is byte-identical
+/// to the unbounded run's (DESIGN.md §14, "bounded re-plan"). If the bound
+/// is below the unbounded run's result, the bounded run finds no complete
+/// plan and Optimize re-runs unbounded; the counters then describe the
+/// unbounded run, while optimize_ms covers both. Optimize never seeds a
+/// bound itself, so the paper's figures (Fig. 16, bench_complexity,
+/// bench_table2_tpch) measure the unbounded enumeration.
 OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
                         double cost_bound = kNoCostBound);
 
@@ -320,20 +324,31 @@ OptimizeResult OptimizeAdaptive(const Query& query,
 /// OptimizeThroughCache (the one probe/populate path); exposed so other
 /// uncached callers (background re-plans, differential references) can
 /// name the planning step without shedding the context fields first.
-/// `cost_bound` reaches the exact enumeration only (see Optimize); the
-/// large-query strategies ignore it.
+///
+/// Every plan is seeded with GOO's cost (DESIGN.md §14, "seeded bound"),
+/// and the plan stays byte-identical to the unseeded facade's:
+///   * exact path, kEaAll/kEaPrune, n >= 5, no caller bound: GreedyPlanCost
+///     becomes Optimize's `cost_bound`. The counters describe the exact
+///     run; optimize_ms includes the GOO run.
+///   * exact path otherwise: Optimize with the caller's `cost_bound` as
+///     is (kDphyp's lazy optimum can cost more than GOO's eager plan;
+///     H1/H2 ignore bounds; small queries gain nothing).
+///   * large path: kGoo runs first and its plan's cost bounds kIdp, which
+///     returns no plan once it cannot win the race. `cost_bound` never
+///     reaches this path: kIdp is not exact, so a foreign bound could flip
+///     the race.
 OptimizeResult OptimizeAdaptiveUncached(const Query& query,
                                         const OptimizerOptions& options,
                                         double cost_bound = kNoCostBound);
 
 /// Merges the two completed large-query race results into the facade's
-/// result: the cheaper plan wins (kIdp on cost ties, matching the
-/// sequential facade since PR 3), the loser's counters are folded into the
-/// winner's stats, and the loser's arena is dropped wholesale when its
-/// OptimizeResult dies. A null plan loses outright (kIdp legitimately
-/// returns none on cliques). Shared by the sequential facade and the
-/// concurrent race (plangen/parallel.h), so the two are cost-identical by
-/// construction rather than by testing alone.
+/// result: the cheaper plan wins (kIdp on cost ties), the loser's
+/// counters are folded into the winner's stats, and the loser's arena is
+/// dropped wholesale when its OptimizeResult dies. A null plan loses
+/// outright (kIdp legitimately returns none on cliques, or gives up under
+/// kGoo's bound); its counters are folded all the same. Shared by the
+/// sequential facade and the concurrent race (plangen/parallel.h), so the
+/// two pick the same plan by construction rather than by testing alone.
 OptimizeResult PickAdaptiveWinner(OptimizeResult idp, OptimizeResult goo);
 
 }  // namespace eadp

@@ -8,6 +8,9 @@
 //     always the large-query strategies (kGoo, kIdp) and the adaptive
 //     facade — and validates every produced plan structurally
 //     (plangen/plan_validator.h);
+//   * the seeded-bound oracle: the facade's plan, planned under GOO's
+//     cost bound, encodes to the same bytes as the unseeded reference
+//     (raw EA-Prune, or the kIdp/kGoo race's winner);
 //   * the exec-backed equivalence oracle: each plan is executed on a tiny
 //     generated database and must reproduce the canonical evaluation's
 //     rows bit-identically (bag semantics);
@@ -108,6 +111,7 @@ inline FuzzOracleReport CheckMutant(const Query& query,
   // kDphyp is the reorder-only baseline: a structurally valid query it
   // cannot plan is itself a finding.
   bool baseline_planned = false;
+  OptimizeResult prune, goo, idp;  // the unseeded facade's pieces
   for (Algorithm a : algorithms) {
     OptimizerOptions opts;
     opts.algorithm = a;
@@ -118,6 +122,9 @@ inline FuzzOracleReport CheckMutant(const Query& query,
       report.failures.push_back("kDphyp: no plan for a valid query");
     }
     check_plan(r, AlgorithmName(a));
+    if (a == Algorithm::kEaPrune) prune = r;
+    if (a == Algorithm::kGoo) goo = r;
+    if (a == Algorithm::kIdp) idp = r;
   }
   (void)baseline_planned;
 
@@ -128,6 +135,28 @@ inline FuzzOracleReport CheckMutant(const Query& query,
     report.failures.push_back("adaptive: no plan for a valid query");
   }
   check_plan(fresh, "adaptive");
+
+  // Seeded-bound oracle (DESIGN.md §14): the facade bounds its exact
+  // enumeration and kIdp by GOO's cost, which must never change a byte of
+  // the plan. The unseeded reference is raw unbounded EA-Prune below the
+  // exact threshold, and PickAdaptiveWinner(kIdp, kGoo) above it.
+  OptimizeResult unseeded;
+  if (n > adaptive.adaptive_exact_relations) {
+    unseeded = PickAdaptiveWinner(idp, goo);
+  } else if (n > oracle.max_exhaustive_relations) {
+    unseeded = Optimize(query, adaptive);  // kEaPrune, not run above
+  } else {
+    unseeded = prune;
+  }
+  if ((fresh.plan == nullptr) != (unseeded.plan == nullptr) ||
+      (fresh.plan != nullptr &&
+       PlanOnlyBytes(fresh) != PlanOnlyBytes(unseeded))) {
+    report.failures.push_back(StrFormat(
+        "seeded bound: facade plan (cost %.17g) differs from the unseeded "
+        "reference (cost %.17g)",
+        fresh.plan != nullptr ? fresh.plan->cost : -1.0,
+        unseeded.plan != nullptr ? unseeded.plan->cost : -1.0));
+  }
 
   // Serde oracle (plangen/plan_serde.h): the surviving mutant's plan must
   // round-trip — decode cleanly, re-validate, stay explain-bit-identical
