@@ -30,6 +30,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "plangen/plan_cache.h"
+#include "plangen/session.h"
 #include "queries/mutation.h"
 
 using namespace eadp;
@@ -117,7 +118,7 @@ ModeRun RunMode(const std::vector<Event>& stream, double tolerance) {
     }
     Query q = spec.ToQuery();
     auto t0 = std::chrono::steady_clock::now();
-    OptimizeResult r = OptimizeAdaptive(q, options);
+    OptimizeResult r = PlannerSession(options).Optimize(q);
     auto t1 = std::chrono::steady_clock::now();
     if (r.plan == nullptr) {
       std::fprintf(stderr, "FATAL: no plan for shape %d\n", e.shape);
@@ -133,7 +134,7 @@ ModeRun RunMode(const std::vector<Event>& stream, double tolerance) {
   OptimizerOptions strict = options;
   strict.drift_tolerance = 0;
   for (QuerySpec& spec : specs) {
-    OptimizeResult r = OptimizeAdaptive(spec.ToQuery(), strict);
+    OptimizeResult r = PlannerSession(strict).Optimize(spec.ToQuery());
     run.final_costs.push_back(r.plan ? r.plan->cost : -1);
   }
   return run;

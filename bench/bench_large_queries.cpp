@@ -24,6 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "plangen/large_query.h"
+#include "plangen/session.h"
 
 using namespace eadp;
 
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
         }
 
         auto start = std::chrono::steady_clock::now();
-        OptimizeResult adaptive = OptimizeAdaptive(q, OptimizerOptions{});
+        OptimizeResult adaptive = PlannerSession().Optimize(q);
         adapt_ms.push_back(std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count());

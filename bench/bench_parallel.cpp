@@ -19,12 +19,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "plangen/parallel.h"
+#include "plangen/session.h"
 
 using namespace eadp;
 
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
                    static_cast<double>(std::thread::hardware_concurrency()));
 
   // Reference costs (and a warm-up) from one sequential run.
-  BatchResult reference = OptimizeBatch(batch, options, 1);
+  PlannerSession session(options);
+  BatchResult reference = session.OptimizeBatch(batch, nullptr);
 
   std::printf("OptimizeBatch: %zu-query seeded mixed-topology batch, "
               "median over %d runs\n", batch.size(), reps);
@@ -79,9 +81,11 @@ int main(int argc, char** argv) {
 
   double qps_single = 0;
   for (int threads : {1, 2, 4, 8}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     std::vector<double> wall, qps, p50, p95;
     for (int rep = 0; rep < reps; ++rep) {
-      BatchResult r = OptimizeBatch(batch, options, threads);
+      BatchResult r = session.OptimizeBatch(batch, pool.get());
       wall.push_back(r.stats.wall_ms);
       qps.push_back(r.stats.queries_per_second);
       p50.push_back(r.stats.p50_ms);

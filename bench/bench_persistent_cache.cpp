@@ -38,6 +38,7 @@
 #include "common/rng.h"
 #include "plangen/persistent_cache.h"
 #include "plangen/plan_cache.h"
+#include "plangen/session.h"
 #include "queries/query_generator.h"
 
 using namespace eadp;
@@ -108,7 +109,7 @@ WindowResult PlanWindow(const std::vector<Query>& queries, int window,
   Clock::time_point start = Clock::now();
   int hits = 0, disk = 0;
   for (int i = 0; i < window; ++i) {
-    OptimizeResult result = OptimizeAdaptive(queries[i], options);
+    OptimizeResult result = PlannerSession(options).Optimize(queries[i]);
     if (result.plan == nullptr) {
       std::fprintf(stderr, "FATAL: query %d produced no plan\n", i);
       std::exit(1);
@@ -182,7 +183,7 @@ int main(int argc, char** argv) {
       options.persistent_cache = l2.get();
       Clock::time_point start = Clock::now();
       for (const Query& q : queries) {
-        if (OptimizeAdaptive(q, options).plan == nullptr) {
+        if (PlannerSession(options).Optimize(q).plan == nullptr) {
           std::fprintf(stderr, "FATAL: no plan in populate phase\n");
           return 1;
         }

@@ -23,13 +23,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "plangen/parallel.h"
 #include "plangen/plan_cache.h"
+#include "plangen/session.h"
 
 using namespace eadp;
 
@@ -118,7 +119,8 @@ int main(int argc, char** argv) {
 
   // Reference pass: sequential, cache off. Also the per-query cost oracle
   // for the determinism guard.
-  BatchResult reference = OptimizeBatch(queries, options, 1);
+  BatchResult reference =
+      PlannerSession(options).OptimizeBatch(queries, nullptr);
   auto guard = [&reference, &queries](const BatchResult& r, const char* what) {
     for (size_t i = 0; i < queries.size(); ++i) {
       double want =
@@ -141,6 +143,8 @@ int main(int argc, char** argv) {
   double off_p50_1thread = 0;
   double warm_p50_1thread = 0;
   for (int threads : {1, 4, 8}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     ModeResult modes[3];  // off, cold, warm
     const char* names[3] = {"off", "cold", "warm"};
     std::vector<double> wall[3], qps[3], p50[3], hit[3];
@@ -151,11 +155,13 @@ int main(int argc, char** argv) {
       OptimizerOptions cached = options;
       cached.plan_cache = &cache;
 
-      BatchResult off = OptimizeBatch(queries, options, threads);
+      PlannerSession uncached_session(options);
+      PlannerSession cached_session(cached);
+      BatchResult off = uncached_session.OptimizeBatch(queries, pool.get());
       PlanCacheStats before = cache.Snapshot();
-      BatchResult cold = OptimizeBatch(queries, cached, threads);
+      BatchResult cold = cached_session.OptimizeBatch(queries, pool.get());
       PlanCacheStats mid = cache.Snapshot();
-      BatchResult warm = OptimizeBatch(queries, cached, threads);
+      BatchResult warm = cached_session.OptimizeBatch(queries, pool.get());
       PlanCacheStats after = cache.Snapshot();
       guard(off, "cache off");
       guard(cold, "cache cold");

@@ -10,7 +10,7 @@
 //   - warm hit rate >= 0.95: the server's warm-cache behaviour must stay
 //     within 5 points of the in-process bench_plan_cache warm rate (~1.0);
 //   - cost_mismatches == 0: every served plan's root cost is compared
-//     bit-for-bit against a local uncached OptimizeAdaptive of the same
+//     bit-for-bit against a local uncached facade run of the same
 //     spec line, so any cross-session serve or codec corruption fails.
 //
 // Machine-readable records (EADP_BENCH_JSON, see bench_util.h): wall

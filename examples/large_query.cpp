@@ -7,7 +7,7 @@
 // ~3^100 csg-cmp-pairs); the large-query subsystem plans such queries in
 // milliseconds. The demo prints, per topology: the cost and time of GOO
 // (greedy operator ordering), IDP (iterative DP), the unoptimized original
-// tree, and what OptimizeAdaptive chose — plus the plan_validator verdict
+// tree, and what the adaptive facade chose — plus the plan_validator verdict
 // for every produced plan.
 
 #include <cstdio>
@@ -16,6 +16,7 @@
 #include "plangen/large_query.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/query_generator.h"
 
 using namespace eadp;
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
     report("IDP", Optimize(query, options));
     report("original", OptimizeOriginal(query, OptimizerOptions{}));
 
-    OptimizeResult adaptive = OptimizeAdaptive(query, OptimizerOptions{});
+    OptimizeResult adaptive = PlannerSession().Optimize(query);
     std::printf("  adaptive picked %s:\n", AlgorithmName(adaptive.stats.algorithm));
     report("", adaptive);
   }

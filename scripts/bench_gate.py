@@ -38,7 +38,7 @@ ANY_HOST = object()
 # 4-core runner, which would deflate the host scale factor and push every
 # single-thread case toward the band edge. Gate only thread-independent
 # cases (threads=1 / workers=1 / conns=1 rows stay in). "threads=" names
-# the batch/race benches' pool size, "workers=" the intra-query parallel
+# the batch benches' pool size, "workers=" the intra-query parallel
 # DP's worker count (bench_parallel_dp, fig16 workers sweep), "conns=" the
 # plan server's concurrent connection count (bench_server).
 MULTITHREAD_CASE = re.compile(r"(?:threads|workers|conns)=(\d+)")

@@ -5,7 +5,7 @@
 // 5000 + 1000*conn + shape), so any cross-session cache serve would show
 // up as a plan for a query the session never asked about. The generator
 // verifies exactly that: every served blob is decoded and its root cost
-// compared bit-for-bit against a local uncached OptimizeAdaptive run of
+// compared bit-for-bit against a local uncached adaptive-facade run of
 // the same spec line under the same knobs; `cost_mismatches` stays 0 on a
 // correct server (acceptance-gated in bench_server).
 //

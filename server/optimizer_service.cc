@@ -40,7 +40,9 @@ ServiceStatus OptimizerService::OpenSession(const std::string& name,
   context.replan_pool = replan_pool_.get();
   // dp_pool stays null: the request pool runs whole optimizations, and
   // nesting DP workers onto it could deadlock a full pool against itself.
-  // dp_threads > 1 sessions spin transient pools per run instead.
+  // Sessions opened over the wire always plan with dp_threads = 1
+  // (protocol.h); an in-process dp_threads > 1 session spins transient
+  // pools per run instead.
   state->planner = PlannerSession(knobs, context);
 
   std::lock_guard<std::mutex> lock(mu_);

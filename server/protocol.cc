@@ -80,8 +80,9 @@ DecodeStatus DecodeFrame(std::string_view buf, size_t max_frame_bytes,
 namespace {
 
 /// Version byte of the knobs block; bump on any layout change so skewed
-/// clients are refused cleanly instead of mis-parsed.
-constexpr uint8_t kKnobsVersion = 1;
+/// clients are refused cleanly instead of mis-parsed. Version 2 dropped
+/// goo_merge_budget and dp_threads.
+constexpr uint8_t kKnobsVersion = 2;
 
 constexpr uint8_t kMaxAlgorithm = static_cast<uint8_t>(Algorithm::kIdp);
 
@@ -120,8 +121,6 @@ void AppendKnobs(std::string* out, const PlannerKnobs& knobs) {
   PutZigzag(out, knobs.adaptive_exact_relations);
   PutZigzag(out, knobs.idp_block_size);
   out->push_back(static_cast<char>(knobs.idp_inner));
-  PutZigzag(out, knobs.goo_merge_budget);
-  PutZigzag(out, knobs.dp_threads);
 }
 
 bool ReadKnobs(BinReader* r, PlannerKnobs* knobs) {
@@ -145,14 +144,10 @@ bool ReadKnobs(BinReader* r, PlannerKnobs* knobs) {
   if (!ReadAlgorithm(r, &k.idp_inner) || !IsExhaustive(k.idp_inner)) {
     return false;
   }
-  if (!ReadI32(r, &k.goo_merge_budget) || !ReadI32(r, &k.dp_threads)) {
-    return false;
-  }
   // Bound the planning-effort knobs to sane server-side ranges: a hostile
-  // client must not be able to request unbounded exact DP or worker fleets.
+  // client must not be able to request unbounded exact DP.
   if (k.adaptive_exact_relations < 1 || k.adaptive_exact_relations > 16 ||
-      k.idp_block_size < 2 || k.idp_block_size > 8 || k.dp_threads < 1 ||
-      k.dp_threads > 64 || k.goo_merge_budget < -1) {
+      k.idp_block_size < 2 || k.idp_block_size > 8) {
     return false;
   }
   *knobs = k;

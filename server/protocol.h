@@ -130,9 +130,12 @@ DecodeStatus DecodeFrame(std::string_view buf, size_t max_frame_bytes,
 // ---------------------------------------------------------------------------
 
 /// Knobs block: versioned so a server can refuse a skewed client cleanly.
-/// Encodes every PlannerKnobs field (the plan-identity half of the
+/// Encodes the PlannerKnobs fields (the plan-identity half of the
 /// configuration; execution context never crosses the wire — it is the
-/// server's own).
+/// server's own) except two, which a decoded session always holds at
+/// their defaults: `dp_threads` (every remote Optimize would otherwise
+/// spin up a transient pool of that many threads) and the test hook
+/// `goo_merge_budget`.
 void AppendKnobs(std::string* out, const PlannerKnobs& knobs);
 
 /// Decodes a knobs block; false on version skew, truncation, or

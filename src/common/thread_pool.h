@@ -3,9 +3,9 @@
 // The optimizer's unit of concurrency is one whole optimization run: every
 // run owns a private PlanArena (DESIGN.md §6), so runs share nothing by
 // construction and the pool needs no work stealing, no task priorities and
-// no locks beyond the queue mutex. plangen/parallel.h builds both the
-// batched multi-query entry point and the concurrent kGoo/kIdp race of the
-// adaptive facade on top of this (DESIGN.md §9).
+// no locks beyond the queue mutex. PlannerSession::OptimizeBatch
+// (plangen/session.h) and the intra-query parallel DP
+// (plangen/parallel_dp.h) run on top of this (DESIGN.md §9).
 //
 // Semantics:
 //   * Submit(f) enqueues `f` and returns a std::future for its result.
@@ -20,7 +20,7 @@
 //     deterministic. thread_pool_test pins this.)
 //   * num_threads is clamped to >= 1. A size-1 pool is a valid serial
 //     executor — callers that need strict sequential semantics (e.g. the
-//     adaptive race fallback) should simply not go through the pool.
+//     batch reference loop) should simply not go through the pool.
 
 #ifndef EADP_COMMON_THREAD_POOL_H_
 #define EADP_COMMON_THREAD_POOL_H_

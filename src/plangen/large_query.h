@@ -1,6 +1,6 @@
 // Large-query plan generation: greedy operator ordering (GOO) and
 // iterative dynamic programming (IDP), the strategies behind the
-// OptimizeAdaptive facade (plangen.h).
+// adaptive facade (OptimizeAdaptiveUncached, plangen.h).
 //
 // The exhaustive generators enumerate every csg-cmp-pair of the query
 // hypergraph, which hits a wall around 15 relations on dense graphs. The
@@ -62,7 +62,7 @@ OptimizeResult OptimizeGreedy(const Query& query,
 double GreedyPlanCost(const Query& query, const OptimizerOptions& options);
 
 /// Iterative DP with bounded exact subproblems. Returns a null plan only
-/// when conflict rules leave no unit group combinable (OptimizeAdaptive
+/// when conflict rules leave no unit group combinable (the adaptive facade
 /// then falls back to kGoo), or when the run gives up under `cost_bound`.
 ///
 /// `cost_bound` is the cost of a complete plan IDP races against (kGoo's,

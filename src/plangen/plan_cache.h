@@ -5,7 +5,7 @@
 // under production traffic the same query shapes arrive over and over
 // (parameterized application queries, dashboard refreshes), and every
 // arrival re-pays the full DP/GOO/IDP cost. This cache closes that gap:
-// OptimizeAdaptive probes it with the canonical query fingerprint
+// PlannerSession::Optimize probes it with the canonical query fingerprint
 // (queries/fingerprint.h) and serves the memoized plan on a hit — turning
 // a multi-millisecond optimization into a microsecond-scale probe.
 //
@@ -252,10 +252,8 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
                                     const PlannerKnobs& knobs);
 
 /// The probe/populate wrapper behind every cache-aware facade entry point.
-/// Since the session redesign the sole caller is
-/// PlannerSession::OptimizeImpl (plangen/session.h) — the free functions
-/// OptimizeAdaptive / OptimizeAdaptiveConcurrent / OptimizeBatch reach it
-/// through their session shims. Fingerprints the
+/// Its sole caller is PlannerSession::OptimizeImpl (plangen/session.h),
+/// which PlannerSession::Optimize and OptimizeBatch share. Fingerprints the
 /// query *and the planning-relevant OptimizerOptions knobs* (one cache
 /// can serve mixed configurations — the same query under different
 /// algorithms/ablations/knobs occupies distinct entries and is never

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -13,7 +14,6 @@
 #include "plangen/large_query.h"
 #include "plangen/parallel_dp.h"
 #include "plangen/plan_cache.h"
-#include "plangen/session.h"
 
 namespace eadp {
 
@@ -43,6 +43,13 @@ namespace {
 /// below it the GOO run costs more than the bound saves (measured in
 /// DESIGN.md §14, "seeded bound").
 constexpr int kSeedMinRelations = 5;
+
+/// GOO's cost is widened by this factor before it bounds the exact DP.
+/// Rounding alone can put GOO's cost an ulp below an optimum it matches:
+/// bounded by the raw cost, the DP would find no plan and re-run
+/// unbounded. Any bound at or above the optimum keeps the plan's bytes
+/// (DESIGN.md §14).
+constexpr double kSeedSlack = 1 + 4 * std::numeric_limits<double>::epsilon();
 
 class Generator {
  public:
@@ -165,14 +172,6 @@ OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
   }
 }
 
-OptimizeResult OptimizeAdaptive(const Query& query,
-                                const OptimizerOptions& options) {
-  // Shim (see plangen.h): the session's OptimizeImpl is the one cache
-  // probe/populate path; a transient session over `options` reproduces the
-  // pre-session behavior exactly.
-  return PlannerSession(options).Optimize(query);
-}
-
 OptimizeResult OptimizeAdaptiveUncached(const Query& query,
                                         const OptimizerOptions& options,
                                         double cost_bound) {
@@ -192,7 +191,7 @@ OptimizeResult OptimizeAdaptiveUncached(const Query& query,
                  exact.algorithm == Algorithm::kEaPrune);
     if (!seed) return Optimize(query, exact, cost_bound);
     auto start = std::chrono::steady_clock::now();
-    double goo_cost = GreedyPlanCost(query, exact);
+    double goo_cost = GreedyPlanCost(query, exact) * kSeedSlack;
     double seed_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -207,9 +206,7 @@ OptimizeResult OptimizeAdaptiveUncached(const Query& query,
   // (e.g. cliques, whose prefix-shaped SES sets defeat group selection).
   // kGoo runs first so its cost bounds kIdp, which gives up once it cannot
   // win. A caller's bound never gets here: kIdp is not exact, so a bound
-  // that is not the race's own could flip the winner. The concurrent
-  // variant of this race (plangen/parallel.h) runs both unbounded; both
-  // funnel through PickAdaptiveWinner.
+  // that is not the race's own could flip the winner.
   OptimizeResult goo = OptimizeGreedy(query, options);
   OptimizeResult idp = OptimizeIdp(
       query, options, goo.plan != nullptr ? goo.plan->cost : kNoCostBound);

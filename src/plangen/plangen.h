@@ -39,14 +39,14 @@
 //              (<= OptimizerOptions::idp_block_size units, default policy
 //              kEaPrune) and stitches the winners until one plan remains.
 //
-// OptimizeAdaptive is the production entry point: exact DP up to
-// OptimizerOptions::adaptive_exact_relations; above that both large-query
-// strategies run and the cheaper plan wins (kGoo doubling as the
-// always-terminating fallback). Both paths are bounded by kGoo's cost
-// (OptimizeAdaptiveUncached). Differential tests pin that the facade is
-// cost-identical to kEaPrune on every corpus query where exact DP runs
-// (large_query_test) and byte-identical to the unseeded facade
-// (seeded_bound_test).
+// The adaptive facade (OptimizeAdaptiveUncached, reached through
+// PlannerSession in plangen/session.h) is the production entry point:
+// exact DP up to OptimizerOptions::adaptive_exact_relations; above that
+// both large-query strategies run and the cheaper plan wins (kGoo doubling
+// as the always-terminating fallback). Both paths are bounded by kGoo's
+// cost. Differential tests pin that the facade is cost-identical to
+// kEaPrune on every corpus query where exact DP runs (large_query_test)
+// and byte-identical to the unseeded facade (seeded_bound_test).
 
 #ifndef EADP_PLANGEN_PLANGEN_H_
 #define EADP_PLANGEN_PLANGEN_H_
@@ -102,7 +102,7 @@ struct PlannerKnobs {
 
   // ---- Large-query subsystem (plangen/large_query.h) ----
 
-  /// OptimizeAdaptive: queries with at most this many relations run the
+  /// Adaptive facade: queries with at most this many relations run the
   /// exact enumeration with `algorithm`; larger ones run kIdp, with kGoo
   /// as the always-terminating fallback. The default sits safely below the
   /// exhaustive-DP wall for every topology (a 12-clique enumerates in the
@@ -140,7 +140,9 @@ struct PlannerKnobs {
   /// parallel_dp_test). It is still folded into the plan-cache
   /// fingerprint: dropping it would change every cache key already on
   /// disk. The pool the workers run on is execution context
-  /// (PlannerContext::dp_pool), not plan identity.
+  /// (PlannerContext::dp_pool), not plan identity. The service's wire
+  /// codec does not carry it (server/protocol.h): remote sessions plan
+  /// sequentially.
   int dp_threads = 1;
 };
 
@@ -155,12 +157,11 @@ struct PlannerKnobs {
 struct PlannerContext {
   // ---- Cross-query plan cache (plangen/plan_cache.h) ----
 
-  /// When set, the facade entry points (OptimizeAdaptive, OptimizeBatch,
-  /// OptimizeAdaptiveConcurrent) probe this cache with the query's
-  /// canonical fingerprint — extended by the planning-relevant option
-  /// knobs, so mixed configurations safely share one cache — before
-  /// planning, and populate it after. Hits return the memoized plan
-  /// (cost-identical to a fresh run by determinism; pinned
+  /// When set, PlannerSession's Optimize and OptimizeBatch probe this
+  /// cache with the query's canonical fingerprint — extended by the
+  /// planning-relevant option knobs, so mixed configurations safely share
+  /// one cache — before planning, and populate it after. Hits return the
+  /// memoized plan (cost-identical to a fresh run by determinism; pinned
   /// differentially in plan_cache_test) with stats.cache_hit set and
   /// optimize_ms covering only the probe. The cache is thread-safe;
   /// batch planning shares one instance across all pool workers. Not
@@ -180,8 +181,8 @@ struct PlannerContext {
 
   /// Pool the extra DP workers run on (worker 0 is the calling thread, so
   /// PlannerKnobs::dp_threads W needs W-1 pool slots). Borrowed, not
-  /// owned; may be shared with the batch/race entry points. When null and
-  /// dp_threads > 1, Optimize spins up a transient pool for the run.
+  /// owned; may be shared with OptimizeBatch. When null and dp_threads > 1,
+  /// Optimize spins up a transient pool for the run.
   ThreadPool* dp_pool = nullptr;
 
   // ---- Incremental re-optimization under statistics drift ----
@@ -206,13 +207,11 @@ struct PlannerContext {
   ThreadPool* replan_pool = nullptr;
 };
 
-/// The flat options bag the free-function facade takes: knobs and context
-/// in one aggregate (C++17 aggregates-with-bases, so `OptimizerOptions o;
-/// o.algorithm = ...; o.plan_cache = ...;` keeps working unchanged across
-/// the split). New code should prefer PlannerSession (plangen/session.h),
-/// which holds the context for its lifetime and exposes the knobs/context
-/// halves explicitly; the split exists so cache-key code can consume
-/// exactly the identity half by slicing to the PlannerKnobs base.
+/// Knobs and context in one flat aggregate (C++17 aggregates-with-bases, so
+/// `OptimizerOptions o; o.algorithm = ...; o.plan_cache = ...;` sets either
+/// half). This is what Optimize and PlannerSession(OptimizerOptions) take;
+/// the split exists so cache-key code can consume exactly the identity
+/// half by slicing to the PlannerKnobs base.
 struct OptimizerOptions : PlannerKnobs, PlannerContext {};
 
 /// Builder options as the generators actually instantiate them: the
@@ -231,8 +230,9 @@ struct OptimizeStats {
   size_t table_plans = 0;       ///< plans in the DP table at the end
   size_t table_classes = 0;     ///< plan classes in the DP table
   double optimize_ms = 0;       ///< wall-clock optimization time
-  /// The strategy that actually produced the plan — what OptimizeAdaptive
-  /// chose, including a fallback taken mid-flight (e.g. kIdp -> kGoo).
+  /// The strategy that actually produced the plan — what the adaptive
+  /// facade chose, including a fallback taken mid-flight (e.g. kIdp ->
+  /// kGoo).
   Algorithm algorithm = Algorithm::kEaPrune;
   /// True iff the result was served from a cache tier (memory or disk);
   /// the other counters then describe the run that originally built the
@@ -301,35 +301,24 @@ inline constexpr double kNoCostBound = std::numeric_limits<double>::infinity();
 OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
                         double cost_bound = kNoCostBound);
 
-/// The adaptive facade: exact enumeration for queries with at most
-/// `options.adaptive_exact_relations` relations (using `options.algorithm`;
-/// a non-exhaustive value is coerced to kEaPrune); above that both
-/// large-query strategies run and the cheaper plan wins (kGoo doubles as
-/// the always-terminating fallback when kIdp cannot combine).
-/// `result.stats.algorithm` records the strategy that won; its counters
-/// and optimize_ms cover both runs.
-///
-/// \deprecated Thin shim over PlannerSession (plangen/session.h):
-/// equivalent to `PlannerSession(options).Optimize(query)`, including the
-/// cache probe when options carries cache pointers. Kept so existing
-/// call sites and tests stay source-compatible; new code should hold a
-/// PlannerSession.
-OptimizeResult OptimizeAdaptive(const Query& query,
-                                const OptimizerOptions& options);
-
-/// The cache-oblivious core of the adaptive facade: exactly
-/// OptimizeAdaptive minus the cache probe — any cache/replan pointers in
-/// `options` are ignored, the query is always planned. This is the
-/// `plan_fresh` callback PlannerSession::OptimizeImpl hands to
+/// The adaptive facade, minus the cache probe: exact enumeration for
+/// queries with at most `options.adaptive_exact_relations` relations
+/// (using `options.algorithm`; a non-exhaustive value is coerced to
+/// kEaPrune); above that both large-query strategies run and the cheaper
+/// plan wins (kGoo doubles as the always-terminating fallback when kIdp
+/// cannot combine). `result.stats.algorithm` records the strategy that
+/// won; its counters and optimize_ms cover both runs. Any cache/replan
+/// pointers in `options` are ignored, the query is always planned. This is
+/// the `plan_fresh` callback PlannerSession::OptimizeImpl hands to
 /// OptimizeThroughCache (the one probe/populate path); exposed so other
 /// uncached callers (background re-plans, differential references) can
 /// name the planning step without shedding the context fields first.
 ///
 /// Every plan is seeded with GOO's cost (DESIGN.md §14, "seeded bound"),
 /// and the plan stays byte-identical to the unseeded facade's:
-///   * exact path, kEaAll/kEaPrune, n >= 5, no caller bound: GreedyPlanCost
-///     becomes Optimize's `cost_bound`. The counters describe the exact
-///     run; optimize_ms includes the GOO run.
+///   * exact path, kEaAll/kEaPrune, n >= 5, no caller bound: GreedyPlanCost,
+///     widened by a few ulps, becomes Optimize's `cost_bound`. The counters
+///     describe the exact run; optimize_ms includes the GOO run.
 ///   * exact path otherwise: Optimize with the caller's `cost_bound` as
 ///     is (kDphyp's lazy optimum can cost more than GOO's eager plan;
 ///     H1/H2 ignore bounds; small queries gain nothing).
@@ -346,9 +335,9 @@ OptimizeResult OptimizeAdaptiveUncached(const Query& query,
 /// counters are folded into the winner's stats, and the loser's arena is
 /// dropped wholesale when its OptimizeResult dies. A null plan loses
 /// outright (kIdp legitimately returns none on cliques, or gives up under
-/// kGoo's bound); its counters are folded all the same. Shared by the
-/// sequential facade and the concurrent race (plangen/parallel.h), so the
-/// two pick the same plan by construction rather than by testing alone.
+/// kGoo's bound); its counters are folded all the same. The facade's race
+/// policy, public so differential tests can rebuild the unseeded facade
+/// from OptimizeIdp and OptimizeGreedy.
 OptimizeResult PickAdaptiveWinner(OptimizeResult idp, OptimizeResult goo);
 
 }  // namespace eadp

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "plangen/plan_cache.h"
 
 namespace eadp {
@@ -68,15 +67,6 @@ OptimizeResult PlannerSession::Optimize(const Query& query) const {
   });
 }
 
-OptimizeResult PlannerSession::OptimizeConcurrent(const Query& query,
-                                                  ThreadPool* race_pool) const {
-  return OptimizeImpl(query, [race_pool](const Query& q,
-                                         const OptimizerOptions& o,
-                                         double cost_bound) {
-    return OptimizeAdaptiveConcurrentUncached(q, o, race_pool, cost_bound);
-  });
-}
-
 BatchResult PlannerSession::OptimizeBatch(std::span<const Query> queries,
                                           ThreadPool* pool) const {
   BatchResult batch;
@@ -126,13 +116,6 @@ BatchResult PlannerSession::OptimizeBatch(std::span<const Query> queries,
     if (r.stats.cache_hit) ++batch.stats.cache_hits;
   }
   return batch;
-}
-
-BatchResult PlannerSession::OptimizeBatch(std::span<const Query> queries,
-                                          int num_threads) const {
-  if (num_threads <= 1) return OptimizeBatch(queries, nullptr);
-  ThreadPool pool(num_threads);
-  return OptimizeBatch(queries, &pool);
 }
 
 }  // namespace eadp

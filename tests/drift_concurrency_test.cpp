@@ -33,6 +33,7 @@
 #include "common/thread_pool.h"
 #include "plangen/plan_cache.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/mutation.h"
 #include "queries/query_generator.h"
 #include "tests/test_util.h"
@@ -82,7 +83,7 @@ TEST(DriftConcurrency, BackgroundReplanRacesServingAndInvalidation) {
   for (const Query& q : shapes) {
     OptimizerOptions warm;
     warm.plan_cache = &cache;
-    OptimizeResult r = OptimizeAdaptive(q, warm);
+    OptimizeResult r = PlannerSession(warm).Optimize(q);
     ASSERT_NE(r.plan, nullptr);
   }
 
@@ -106,7 +107,7 @@ TEST(DriftConcurrency, BackgroundReplanRacesServingAndInvalidation) {
       // (generous band) and strict re-planning, so drifted entries see
       // concurrent avoided serves, background re-plans and refreshes.
       options.drift_tolerance = (i % 2 == 0) ? 1e9 : 0.0;
-      OptimizeResult r = OptimizeAdaptive(q, options);
+      OptimizeResult r = PlannerSession(options).Optimize(q);
       probes.fetch_add(1, std::memory_order_relaxed);
       if (r.plan == nullptr) {
         null_plans.fetch_add(1, std::memory_order_relaxed);
@@ -148,7 +149,7 @@ TEST(DriftConcurrency, ReplanPendingAdmitsOneInFlightReplan) {
   QuerySpec spec = QuerySpec::FromQuery(q);
   OptimizerOptions warm;
   warm.plan_cache = &cache;
-  ASSERT_NE(OptimizeAdaptive(q, warm).plan, nullptr);
+  ASSERT_NE(PlannerSession(warm).Optimize(q).plan, nullptr);
 
   Rng rng(5);
   DriftGently(&spec.catalog, &rng);
@@ -167,7 +168,7 @@ TEST(DriftConcurrency, ReplanPendingAdmitsOneInFlightReplan) {
       OptimizerOptions options;
       options.plan_cache = &cache;
       options.replan_pool = &replan_pool;
-      OptimizeResult r = OptimizeAdaptive(drifted, options);
+      OptimizeResult r = PlannerSession(options).Optimize(drifted);
       if (r.plan != nullptr && r.stats.cache_hit &&
           r.stats.replan_background) {
         served.fetch_add(1, std::memory_order_relaxed);
@@ -194,7 +195,7 @@ TEST(DriftConcurrency, ReplanPendingAdmitsOneInFlightReplan) {
   // After the dust settles the entry carries the drifted overlay.
   OptimizerOptions options;
   options.plan_cache = &cache;
-  OptimizeResult r = OptimizeAdaptive(drifted, options);
+  OptimizeResult r = PlannerSession(options).Optimize(drifted);
   EXPECT_TRUE(r.stats.cache_hit);
   EXPECT_FALSE(r.stats.replan_background);
 }
@@ -209,12 +210,12 @@ TEST(DriftConcurrency, BackgroundReplanMatchesAFreshUnboundedPlan) {
     OptimizerOptions options;
     options.plan_cache = &cache;
     options.replan_pool = &replan_pool;
-    ASSERT_NE(OptimizeAdaptive(q, options).plan, nullptr) << "n=" << n;
+    ASSERT_NE(PlannerSession(options).Optimize(q).plan, nullptr) << "n=" << n;
 
     DriftGently(&spec.catalog, &rng);
     Query drifted = spec.ToQuery();
     uint64_t refreshes = cache.Snapshot().refreshes;
-    OptimizeResult served = OptimizeAdaptive(drifted, options);
+    OptimizeResult served = PlannerSession(options).Optimize(drifted);
     ASSERT_TRUE(served.stats.replan_background) << "n=" << n;
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -224,10 +225,10 @@ TEST(DriftConcurrency, BackgroundReplanMatchesAFreshUnboundedPlan) {
     }
     ASSERT_EQ(cache.Snapshot().refreshes, refreshes + 1) << "n=" << n;
 
-    OptimizeResult refreshed = OptimizeAdaptive(drifted, options);
+    OptimizeResult refreshed = PlannerSession(options).Optimize(drifted);
     EXPECT_TRUE(refreshed.stats.cache_hit) << "n=" << n;
     EXPECT_FALSE(refreshed.stats.replan_background) << "n=" << n;
-    OptimizeResult fresh = OptimizeAdaptive(drifted, OptimizerOptions{});
+    OptimizeResult fresh = PlannerSession().Optimize(drifted);
     EXPECT_EQ(PlanOnlyBytes(refreshed), PlanOnlyBytes(fresh)) << "n=" << n;
   }
 }

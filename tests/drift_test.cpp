@@ -46,6 +46,7 @@
 #include "plangen/plan_cache.h"
 #include "plangen/plan_explain.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/fingerprint.h"
 #include "queries/mutation.h"
 #include "queries/query_generator.h"
@@ -93,7 +94,7 @@ TEST(Recost, BitIdenticalUnderUnchangedStats) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
       Query q = MakeQuery(n, seed);
       OptimizerOptions options;
-      OptimizeResult r = OptimizeAdaptive(q, options);
+      OptimizeResult r = PlannerSession(options).Optimize(q);
       ASSERT_NE(r.plan, nullptr) << "n=" << n << " seed=" << seed;
       RecostResult rc = RecostPlan(r.plan, q);
       EXPECT_TRUE(rc.ok) << "n=" << n << " seed=" << seed;
@@ -124,7 +125,7 @@ TEST(Recost, BitIdenticalAcrossMixesAndTopologies) {
   }
   for (size_t i = 0; i < corpus.size(); ++i) {
     OptimizerOptions options;
-    OptimizeResult r = OptimizeAdaptive(corpus[i], options);
+    OptimizeResult r = PlannerSession(options).Optimize(corpus[i]);
     ASSERT_NE(r.plan, nullptr) << "query " << i;
     RecostResult rc = RecostPlan(r.plan, corpus[i]);
     EXPECT_TRUE(rc.ok) << "query " << i;
@@ -136,7 +137,7 @@ TEST(Recost, BitIdenticalAcrossMixesAndTopologies) {
 TEST(Recost, TracksACardinalityChange) {
   Query q = MakeQuery(5, 11);
   OptimizerOptions options;
-  OptimizeResult r = OptimizeAdaptive(q, options);
+  OptimizeResult r = PlannerSession(options).Optimize(q);
   ASSERT_NE(r.plan, nullptr);
 
   // Doubling SOME relation's cardinality must move the re-costed root
@@ -190,11 +191,11 @@ TEST(Drift, UnchangedStatsBehaveLikeTheTieredCache) {
   const int kQueries = 20;
   for (int i = 0; i < kQueries; ++i) {
     Query q = MakeQuery(3 + i % 5, 100 + static_cast<uint64_t>(i));
-    OptimizeResult fresh = OptimizeAdaptive(q, off);
+    OptimizeResult fresh = PlannerSession(off).Optimize(q);
     ASSERT_NE(fresh.plan, nullptr);
-    OptimizeResult cold = OptimizeAdaptive(q, on);
+    OptimizeResult cold = PlannerSession(on).Optimize(q);
     EXPECT_FALSE(cold.stats.cache_hit);
-    OptimizeResult warm = OptimizeAdaptive(q, on);
+    OptimizeResult warm = PlannerSession(on).Optimize(q);
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(warm.stats.cache_tier, 1);
     EXPECT_FALSE(warm.stats.replan_avoided);
@@ -222,8 +223,8 @@ TEST(Drift, RematerializedQueryIsAnExactHit) {
   on.plan_cache = &cache;
   Query q = MakeQuery(5, 77);
   QuerySpec spec = QuerySpec::FromQuery(q);
-  OptimizeAdaptive(q, on);
-  OptimizeResult warm = OptimizeAdaptive(spec.ToQuery(), on);
+  PlannerSession(on).Optimize(q);
+  OptimizeResult warm = PlannerSession(on).Optimize(spec.ToQuery());
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_FALSE(warm.stats.replan_avoided);
   EXPECT_EQ(cache.Snapshot().drift_hits, 0u);
@@ -240,14 +241,14 @@ TEST(Drift, ZeroToleranceReplansInlineAndRefreshes) {
   on.plan_cache = &cache;
   Query q = MakeQuery(6, 5);
   QuerySpec spec = QuerySpec::FromQuery(q);
-  OptimizeAdaptive(q, on);
+  PlannerSession(on).Optimize(q);
 
   Rng rng(99);
   DriftGently(&spec.catalog, &rng);
   Query drifted = spec.ToQuery();
-  OptimizeResult fresh = OptimizeAdaptive(drifted, off);
+  OptimizeResult fresh = PlannerSession(off).Optimize(drifted);
   ASSERT_NE(fresh.plan, nullptr);
-  OptimizeResult replanned = OptimizeAdaptive(drifted, on);
+  OptimizeResult replanned = PlannerSession(on).Optimize(drifted);
   EXPECT_FALSE(replanned.stats.cache_hit);
   EXPECT_FALSE(replanned.stats.replan_avoided);
   EXPECT_EQ(replanned.plan->cost, fresh.plan->cost);
@@ -260,7 +261,7 @@ TEST(Drift, ZeroToleranceReplansInlineAndRefreshes) {
 
   // The refreshed entry now carries the drifted overlay: next probe is an
   // exact hit at the fresh cost.
-  OptimizeResult warm = OptimizeAdaptive(drifted, on);
+  OptimizeResult warm = PlannerSession(on).Optimize(drifted);
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_EQ(warm.stats.cache_tier, 1);
   EXPECT_EQ(warm.plan->cost, fresh.plan->cost);
@@ -273,7 +274,7 @@ TEST(Drift, ToleranceBandServesTheRecostedPlan) {
   on.plan_cache = &cache;
   Query q = MakeQuery(6, 8);
   QuerySpec spec = QuerySpec::FromQuery(q);
-  OptimizeResult cold = OptimizeAdaptive(q, on);
+  OptimizeResult cold = PlannerSession(on).Optimize(q);
   ASSERT_NE(cold.plan, nullptr);
 
   Rng rng(3);
@@ -282,7 +283,7 @@ TEST(Drift, ToleranceBandServesTheRecostedPlan) {
 
   OptimizerOptions tolerant = on;
   tolerant.drift_tolerance = 1e9;  // any re-costable plan serves
-  OptimizeResult served = OptimizeAdaptive(drifted, tolerant);
+  OptimizeResult served = PlannerSession(tolerant).Optimize(drifted);
   EXPECT_TRUE(served.stats.cache_hit);
   EXPECT_TRUE(served.stats.replan_avoided);
   EXPECT_FALSE(served.stats.replan_background);
@@ -310,16 +311,16 @@ TEST(Drift, BackgroundReplanServesStaleThenSwapsIn) {
 
   Query q = MakeQuery(6, 13);
   QuerySpec spec = QuerySpec::FromQuery(q);
-  OptimizeResult cold = OptimizeAdaptive(q, on);
+  OptimizeResult cold = PlannerSession(on).Optimize(q);
   ASSERT_NE(cold.plan, nullptr);
 
   Rng rng(7);
   DriftGently(&spec.catalog, &rng);
   Query drifted = spec.ToQuery();
-  OptimizeResult fresh = OptimizeAdaptive(drifted, off);
+  OptimizeResult fresh = PlannerSession(off).Optimize(drifted);
   ASSERT_NE(fresh.plan, nullptr);
 
-  OptimizeResult served = OptimizeAdaptive(drifted, on);
+  OptimizeResult served = PlannerSession(on).Optimize(drifted);
   EXPECT_TRUE(served.stats.cache_hit);
   EXPECT_TRUE(served.stats.replan_background);
   EXPECT_FALSE(served.stats.replan_avoided);
@@ -335,7 +336,7 @@ TEST(Drift, BackgroundReplanServesStaleThenSwapsIn) {
   ASSERT_EQ(stats.refreshes, 1u);
   EXPECT_EQ(stats.replans_background, 1u);
 
-  OptimizeResult warm = OptimizeAdaptive(drifted, on);
+  OptimizeResult warm = PlannerSession(on).Optimize(drifted);
   EXPECT_TRUE(warm.stats.cache_hit);
   EXPECT_FALSE(warm.stats.replan_background);
   EXPECT_EQ(warm.stats.cache_tier, 1);
@@ -470,8 +471,8 @@ TEST(Drift, StreamAvoidsReplansAtEqualFinalQuality) {
       DriftGently(&specs[static_cast<size_t>(s)].catalog, &rng);
     }
     Query q = specs[static_cast<size_t>(s)].ToQuery();
-    OptimizeResult a = OptimizeAdaptive(q, tolerant);
-    OptimizeResult b = OptimizeAdaptive(q, strict);
+    OptimizeResult a = PlannerSession(tolerant).Optimize(q);
+    OptimizeResult b = PlannerSession(strict).Optimize(q);
     ASSERT_NE(a.plan, nullptr) << "event " << e;
     ASSERT_NE(b.plan, nullptr) << "event " << e;
   }
@@ -500,10 +501,10 @@ TEST(Drift, StreamAvoidsReplansAtEqualFinalQuality) {
   tolerant_final.drift_tolerance = 0;
   for (int s = 0; s < kShapes; ++s) {
     Query q = specs[static_cast<size_t>(s)].ToQuery();
-    OptimizeResult fresh = OptimizeAdaptive(q, off);
+    OptimizeResult fresh = PlannerSession(off).Optimize(q);
     ASSERT_NE(fresh.plan, nullptr);
-    OptimizeResult a = OptimizeAdaptive(q, tolerant_final);
-    OptimizeResult b = OptimizeAdaptive(q, strict);
+    OptimizeResult a = PlannerSession(tolerant_final).Optimize(q);
+    OptimizeResult b = PlannerSession(strict).Optimize(q);
     EXPECT_EQ(a.plan->cost, fresh.plan->cost) << "shape " << s;
     EXPECT_EQ(b.plan->cost, fresh.plan->cost) << "shape " << s;
     EXPECT_EQ(a.plan->cardinality, fresh.plan->cardinality) << "shape " << s;
@@ -556,14 +557,14 @@ TEST(Drift, DiskTierRecostsOrReplansDriftedHits) {
     ASSERT_NE(disk, nullptr) << error;
     OptimizerOptions on;
     on.persistent_cache = disk.get();
-    original = OptimizeAdaptive(q, on);  // populates the disk tier
+    original = PlannerSession(on).Optimize(q);  // populates the disk tier
     ASSERT_NE(original.plan, nullptr);
   }
 
   Rng rng(17);
   DriftGently(&spec.catalog, &rng);
   Query drifted = spec.ToQuery();
-  OptimizeResult fresh = OptimizeAdaptive(drifted, off);
+  OptimizeResult fresh = PlannerSession(off).Optimize(drifted);
   ASSERT_NE(fresh.plan, nullptr);
 
   // Cold process, generous tolerance: the drifted disk hit re-cost-serves
@@ -581,7 +582,7 @@ TEST(Drift, DiskTierRecostsOrReplansDriftedHits) {
     on.plan_cache = &l1;
     on.persistent_cache = disk.get();
     on.drift_tolerance = 1e9;
-    OptimizeResult served = OptimizeAdaptive(drifted, on);
+    OptimizeResult served = PlannerSession(on).Optimize(drifted);
     EXPECT_TRUE(served.stats.cache_hit);
     EXPECT_TRUE(served.stats.replan_avoided);
     EXPECT_EQ(served.stats.cache_tier, 2);
@@ -599,7 +600,7 @@ TEST(Drift, DiskTierRecostsOrReplansDriftedHits) {
     OptimizerOptions on;
     on.plan_cache = &l1;
     on.persistent_cache = disk.get();
-    OptimizeResult replanned = OptimizeAdaptive(drifted, on);
+    OptimizeResult replanned = PlannerSession(on).Optimize(drifted);
     EXPECT_FALSE(replanned.stats.cache_hit);
     EXPECT_EQ(replanned.plan->cost, fresh.plan->cost);
     EXPECT_EQ(l1.Snapshot().drift_hits, 1u);
@@ -615,7 +616,7 @@ TEST(Drift, DiskTierRecostsOrReplansDriftedHits) {
     ASSERT_NE(disk, nullptr) << error;
     OptimizerOptions on;
     on.persistent_cache = disk.get();
-    OptimizeResult warm = OptimizeAdaptive(drifted, on);
+    OptimizeResult warm = PlannerSession(on).Optimize(drifted);
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(warm.stats.cache_tier, 2);
     EXPECT_FALSE(warm.stats.replan_avoided);

@@ -10,6 +10,7 @@
 
 #include "cost/cost_model.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 
 namespace eadp {
 namespace {
@@ -198,7 +199,7 @@ TEST(EstimatorOverflow, OptimizerSurvivesPreviouslyOverflowingChain) {
   // plan property and the final cost stay finite end to end.
   for (int n : {12, 40}) {
     Query q = OverflowingChainQuery(n);
-    OptimizeResult r = OptimizeAdaptive(q, OptimizerOptions{});
+    OptimizeResult r = PlannerSession().Optimize(q);
     ASSERT_NE(r.plan, nullptr) << "n=" << n;
     EXPECT_TRUE(std::isfinite(r.plan->cost)) << "n=" << n;
     EXPECT_TRUE(std::isfinite(r.plan->cardinality)) << "n=" << n;

@@ -43,6 +43,7 @@
 #include "plangen/plan_serde.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/data_generator.h"
 #include "queries/mutation.h"
 #include "tests/test_util.h"
@@ -129,7 +130,7 @@ inline FuzzOracleReport CheckMutant(const Query& query,
   (void)baseline_planned;
 
   OptimizerOptions adaptive;
-  OptimizeResult fresh = OptimizeAdaptive(query, adaptive);
+  OptimizeResult fresh = PlannerSession(adaptive).Optimize(query);
   ++report.strategies_run;
   if (fresh.plan == nullptr) {
     report.failures.push_back("adaptive: no plan for a valid query");
@@ -192,8 +193,8 @@ inline FuzzOracleReport CheckMutant(const Query& query,
     // First pass populates (or hits a structurally identical earlier
     // mutant — fine: fingerprint equality is structural equality); the
     // second pass must hit.
-    OptimizeAdaptive(query, cached);
-    OptimizeResult warm = OptimizeAdaptive(query, cached);
+    PlannerSession(cached).Optimize(query);
+    OptimizeResult warm = PlannerSession(cached).Optimize(query);
     if (!warm.stats.cache_hit) {
       report.failures.push_back("cache: warm probe missed");
     } else {
@@ -237,7 +238,7 @@ inline FuzzOracleReport CheckMutant(const Query& query,
       OptimizerOptions tolerant = adaptive;
       tolerant.plan_cache = oracle.cache;
       tolerant.drift_tolerance = 1e18;
-      OptimizeResult served = OptimizeAdaptive(drifted, tolerant);
+      OptimizeResult served = PlannerSession(tolerant).Optimize(drifted);
       if (served.plan == nullptr) {
         report.failures.push_back("drift: tolerant probe served no plan");
       } else {
@@ -257,8 +258,8 @@ inline FuzzOracleReport CheckMutant(const Query& query,
       }
       OptimizerOptions strict = adaptive;
       strict.plan_cache = oracle.cache;
-      OptimizeResult replanned = OptimizeAdaptive(drifted, strict);
-      OptimizeResult reference = OptimizeAdaptive(drifted, adaptive);
+      OptimizeResult replanned = PlannerSession(strict).Optimize(drifted);
+      OptimizeResult reference = PlannerSession(adaptive).Optimize(drifted);
       if (replanned.plan == nullptr || reference.plan == nullptr) {
         report.failures.push_back("drift: no plan under drifted stats");
       } else {

@@ -17,6 +17,7 @@
 #include "plangen/large_query.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/data_generator.h"
 #include "queries/query_generator.h"
 #include "tests/test_util.h"
@@ -117,7 +118,7 @@ TEST(LargeQuerySlowDifferential, DeepSeededRatioSweep) {
         Query query = GenerateRandomQuery(gen, seed);
         OptimizerOptions options;
         OptimizeResult exact = Optimize(query, options);
-        OptimizeResult adaptive = OptimizeAdaptive(query, options);
+        OptimizeResult adaptive = PlannerSession(options).Optimize(query);
         ASSERT_NE(exact.plan, nullptr);
         ASSERT_NE(adaptive.plan, nullptr);
         EXPECT_EQ(adaptive.plan->cost, exact.plan->cost);
@@ -126,7 +127,7 @@ TEST(LargeQuerySlowDifferential, DeepSeededRatioSweep) {
 
         OptimizerOptions forced = options;
         forced.adaptive_exact_relations = 0;
-        OptimizeResult facade = OptimizeAdaptive(query, forced);
+        OptimizeResult facade = PlannerSession(forced).Optimize(query);
         ASSERT_NE(facade.plan, nullptr);
         worst_facade = std::max(worst_facade, facade.plan->cost / optimum);
 
@@ -160,7 +161,7 @@ TEST(LargeQuerySlowScale, RepeatedHundredRelationRunsStayValid) {
         gen.topology = t;
         gen.num_relations = n;
         Query query = GenerateRandomQuery(gen, seed);
-        OptimizeResult adaptive = OptimizeAdaptive(query, OptimizerOptions{});
+        OptimizeResult adaptive = PlannerSession().Optimize(query);
         ASSERT_NE(adaptive.plan, nullptr) << TopologyName(t) << " n=" << n;
         EXPECT_TRUE(ValidatePlan(adaptive.plan, query).empty())
             << TopologyName(t) << " n=" << n << " seed=" << seed;

@@ -1,7 +1,7 @@
 // Tier-1 coverage of the large-query subsystem (plangen/large_query.h):
 //
 //   * differential optimality — on every corpus query small enough to
-//     enumerate exhaustively (n <= 8), OptimizeAdaptive is cost-identical
+//     enumerate exhaustively (n <= 8), the adaptive facade is cost-identical
 //     to kEaPrune, and the kGoo/kIdp/original costs are finite and never
 //     beat the optimum (with the kIdp/optimum ratio bounded and logged);
 //   * structural validity — every plan any strategy produces passes
@@ -21,6 +21,7 @@
 #include "plangen/large_query.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/data_generator.h"
 #include "queries/query_generator.h"
 #include "tests/test_util.h"
@@ -78,7 +79,7 @@ TEST(LargeQueryDifferential, AdaptiveMatchesExactOptimumBelowThreshold) {
   for (const Query& query : SmallCorpus()) {
     OptimizerOptions options;  // kEaPrune, adaptive_exact_relations = 12
     OptimizeResult exact = Optimize(query, options);
-    OptimizeResult adaptive = OptimizeAdaptive(query, options);
+    OptimizeResult adaptive = PlannerSession(options).Optimize(query);
     ASSERT_NE(exact.plan, nullptr);
     ASSERT_NE(adaptive.plan, nullptr);
     EXPECT_EQ(adaptive.stats.algorithm, Algorithm::kEaPrune);
@@ -141,12 +142,12 @@ TEST(LargeQueryFacade, RelationCountSelectsTheStrategy) {
   gen.num_relations = 8;
   Query small = GenerateRandomQuery(gen, 3);
   OptimizerOptions options;
-  EXPECT_EQ(OptimizeAdaptive(small, options).stats.algorithm,
+  EXPECT_EQ(PlannerSession(options).Optimize(small).stats.algorithm,
             Algorithm::kEaPrune);
 
   gen.num_relations = 20;
   Query large = GenerateRandomQuery(gen, 3);
-  OptimizeResult r = OptimizeAdaptive(large, options);
+  OptimizeResult r = PlannerSession(options).Optimize(large);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_TRUE(r.stats.algorithm == Algorithm::kGoo ||
               r.stats.algorithm == Algorithm::kIdp);
@@ -158,20 +159,20 @@ TEST(LargeQueryFacade, RelationCountSelectsTheStrategy) {
   // microseconds.
   options.adaptive_exact_relations = 20;
   options.algorithm = Algorithm::kDphyp;
-  EXPECT_EQ(OptimizeAdaptive(large, options).stats.algorithm,
+  EXPECT_EQ(PlannerSession(options).Optimize(large).stats.algorithm,
             Algorithm::kDphyp);
 }
 
 TEST(LargeQueryFacade, HundredRelationQueriesOptimizeWithinBudget) {
   // The acceptance case: seeded 100-relation queries of every topology
-  // pass through OptimizeAdaptive to a validator-clean plan, in under
+  // pass through the adaptive facade to a validator-clean plan, in under
   // 100 ms on un-instrumented builds.
   for (QueryTopology t : StructuredTopologies()) {
     GeneratorOptions gen;
     gen.topology = t;
     gen.num_relations = 100;
     Query query = GenerateRandomQuery(gen, 1);
-    OptimizeResult r = OptimizeAdaptive(query, OptimizerOptions{});
+    OptimizeResult r = PlannerSession().Optimize(query);
     ExpectValid(r, query, TopologyName(t));
     EXPECT_TRUE(std::isfinite(r.plan->cost));
     EXPECT_EQ(r.plan->rels, query.AllRelations());

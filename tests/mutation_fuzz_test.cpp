@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "plangen/plan_cache.h"
+#include "plangen/session.h"
 #include "queries/fingerprint.h"
 #include "queries/mutation.h"
 #include "tests/fuzz_util.h"
@@ -240,14 +241,14 @@ TEST(MutationFuzz, PlanCacheAdversarialStream) {
   int hits = 0, cross_checked = 0;
   for (int i = 0; i < 1000; ++i) {
     const Query& q = mutants[static_cast<size_t>(i) % mutants.size()];
-    OptimizeResult served = OptimizeAdaptive(q, cached_opts);
+    OptimizeResult served = PlannerSession(cached_opts).Optimize(q);
     ASSERT_NE(served.plan, nullptr);
     if (!served.stats.cache_hit) continue;
     ++hits;
     // Zero tolerance for cross-serving: the served plan must cost exactly
     // what a fresh optimization of *this* query costs...
     OptimizerOptions fresh_opts;
-    OptimizeResult fresh = OptimizeAdaptive(q, fresh_opts);
+    OptimizeResult fresh = PlannerSession(fresh_opts).Optimize(q);
     ASSERT_NE(fresh.plan, nullptr);
     ASSERT_EQ(served.plan->cost, fresh.plan->cost)
         << "cache hit served a plan with a different cost than a fresh "

@@ -40,6 +40,7 @@
 #include "plangen/plan_cache.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/data_generator.h"
 #include "queries/query_generator.h"
 #include "tests/test_util.h"
@@ -295,9 +296,9 @@ TEST(ParallelDpFacade, AdaptiveAndCacheRespectDpThreads) {
   Query query = GenerateRandomQuery(gen, 2);
 
   OptimizerOptions options;
-  OptimizeResult seq = OptimizeAdaptive(query, options);
+  OptimizeResult seq = PlannerSession(options).Optimize(query);
   options.dp_threads = 4;
-  OptimizeResult par = OptimizeAdaptive(query, options);
+  OptimizeResult par = PlannerSession(options).Optimize(query);
   ASSERT_NE(seq.plan, nullptr);
   ASSERT_NE(par.plan, nullptr);
   EXPECT_EQ(par.plan->cost, seq.plan->cost);
@@ -305,12 +306,12 @@ TEST(ParallelDpFacade, AdaptiveAndCacheRespectDpThreads) {
   PlanCache cache;
   options.plan_cache = &cache;
   options.dp_threads = 1;
-  OptimizeResult miss1 = OptimizeAdaptive(query, options);
+  OptimizeResult miss1 = PlannerSession(options).Optimize(query);
   EXPECT_FALSE(miss1.stats.cache_hit);
   options.dp_threads = 4;
-  OptimizeResult miss2 = OptimizeAdaptive(query, options);
+  OptimizeResult miss2 = PlannerSession(options).Optimize(query);
   EXPECT_FALSE(miss2.stats.cache_hit) << "dp_threads must split cache keys";
-  OptimizeResult hit = OptimizeAdaptive(query, options);
+  OptimizeResult hit = PlannerSession(options).Optimize(query);
   EXPECT_TRUE(hit.stats.cache_hit);
   EXPECT_EQ(hit.plan->cost, miss2.plan->cost);
 }

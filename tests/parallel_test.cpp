@@ -1,24 +1,22 @@
-// Differential coverage of the parallel optimizer subsystem
-// (plangen/parallel.h). Determinism is the contract under test: for every
+// Differential coverage of batch planning (PlannerSession::OptimizeBatch,
+// plangen/session.h). Determinism is the contract under test: for every
 // query, parallel and sequential runs must produce *cost-identical* plans.
 //
 //   * OptimizeBatch at 2/4/8 threads == the sequential loop, per query, on
 //     a mixed-topology batch spanning the exact-DP and large-query paths —
 //     repeated, so a scheduling-dependent divergence has several chances
 //     to surface (and TSan several chances to see the interleavings);
-//   * OptimizeAdaptiveConcurrent == OptimizeAdaptive on large queries of
-//     every topology (including the clique, where kIdp returns no plan and
-//     the race must settle on kGoo);
 //   * batch stats are internally consistent (counts, percentile ordering,
 //     throughput arithmetic);
 //   * every parallel-produced plan is validator-clean and owned by a
 //     live per-result arena (use-after-free here would be ASan's find).
 
-#include "plangen/parallel.h"
+#include "plangen/session.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "plangen/plan_validator.h"
@@ -26,6 +24,17 @@
 
 namespace eadp {
 namespace {
+
+/// OptimizeBatch on a transient pool of `threads` workers (1: the
+/// sequential reference loop, no pool).
+BatchResult BatchOnThreads(std::span<const Query> batch,
+                           const OptimizerOptions& options, int threads) {
+  if (threads <= 1) {
+    return PlannerSession(options).OptimizeBatch(batch, nullptr);
+  }
+  ThreadPool pool(threads);
+  return PlannerSession(options).OptimizeBatch(batch, &pool);
+}
 
 /// A seeded mixed-topology batch: random operator trees (exact-DP path)
 /// plus structured chain/star/cycle/clique queries straddling the
@@ -53,11 +62,11 @@ std::vector<Query> MixedBatch(int queries_per_bucket) {
 TEST(OptimizeBatchDifferential, CostsBitIdenticalToSequentialLoop) {
   std::vector<Query> batch = MixedBatch(4);
   OptimizerOptions options;
-  BatchResult sequential = OptimizeBatch(batch, options, 1);
+  BatchResult sequential = BatchOnThreads(batch, options, 1);
   ASSERT_EQ(sequential.results.size(), batch.size());
   for (int threads : {2, 4, 8}) {
     for (int repeat = 0; repeat < 3; ++repeat) {
-      BatchResult parallel = OptimizeBatch(batch, options, threads);
+      BatchResult parallel = BatchOnThreads(batch, options, threads);
       ASSERT_EQ(parallel.results.size(), batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         const OptimizeResult& want = sequential.results[i];
@@ -77,7 +86,7 @@ TEST(OptimizeBatchDifferential, CostsBitIdenticalToSequentialLoop) {
 
 TEST(OptimizeBatchDifferential, ParallelPlansValidateAndOwnTheirArenas) {
   std::vector<Query> batch = MixedBatch(2);
-  BatchResult result = OptimizeBatch(batch, OptimizerOptions{}, 4);
+  BatchResult result = BatchOnThreads(batch, OptimizerOptions{}, 4);
   for (size_t i = 0; i < batch.size(); ++i) {
     const OptimizeResult& r = result.results[i];
     ASSERT_NE(r.plan, nullptr) << i;
@@ -91,7 +100,7 @@ TEST(OptimizeBatchDifferential, ParallelPlansValidateAndOwnTheirArenas) {
 
 TEST(OptimizeBatchStats, AggregatesAreInternallyConsistent) {
   std::vector<Query> batch = MixedBatch(2);
-  BatchResult r = OptimizeBatch(batch, OptimizerOptions{}, 2);
+  BatchResult r = BatchOnThreads(batch, OptimizerOptions{}, 2);
   const BatchStats& s = r.stats;
   EXPECT_EQ(s.num_queries, static_cast<int>(batch.size()));
   EXPECT_EQ(s.num_threads, 2);
@@ -103,69 +112,7 @@ TEST(OptimizeBatchStats, AggregatesAreInternallyConsistent) {
   EXPECT_LE(s.p95_ms, s.max_ms);
   EXPECT_GE(s.total_optimize_ms, s.max_ms);
   // Sequential runs report themselves as one thread regardless of request.
-  EXPECT_EQ(OptimizeBatch(batch, OptimizerOptions{}, 1).stats.num_threads, 1);
-}
-
-TEST(ConcurrentAdaptiveRace, CostIdenticalToSequentialFacade) {
-  ThreadPool pool(2);
-  for (QueryTopology t : {QueryTopology::kChain, QueryTopology::kStar,
-                          QueryTopology::kCycle, QueryTopology::kClique}) {
-    for (int n : {20, 40}) {
-      GeneratorOptions gen;
-      gen.topology = t;
-      gen.num_relations = n;
-      Query query = GenerateRandomQuery(gen, 7);
-      OptimizerOptions options;
-      OptimizeResult sequential = OptimizeAdaptive(query, options);
-      ASSERT_NE(sequential.plan, nullptr);
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        OptimizeResult concurrent =
-            OptimizeAdaptiveConcurrent(query, options, &pool);
-        ASSERT_NE(concurrent.plan, nullptr) << TopologyName(t);
-        EXPECT_EQ(concurrent.plan->cost, sequential.plan->cost)
-            << TopologyName(t) << " n=" << n;
-        // The race must pick the same strategy, not just the same cost —
-        // completion order may differ, the winner may not.
-        EXPECT_EQ(concurrent.stats.algorithm, sequential.stats.algorithm)
-            << TopologyName(t) << " n=" << n;
-        std::vector<std::string> violations =
-            ValidatePlan(concurrent.plan, query);
-        EXPECT_TRUE(violations.empty()) << TopologyName(t);
-      }
-    }
-  }
-}
-
-TEST(ConcurrentAdaptiveRace, FallsBackSequentiallyOnSmallPoolsAndQueries) {
-  // Null pool and size-1 pool take the sequential facade; so do queries at
-  // or below the exact threshold (identical results either way — this
-  // pins that the exact path is unaffected by the pool argument).
-  GeneratorOptions gen;
-  gen.num_relations = 6;
-  Query small = GenerateRandomQuery(gen, 11);
-  OptimizerOptions options;
-  OptimizeResult want = OptimizeAdaptive(small, options);
-  ASSERT_NE(want.plan, nullptr);
-  EXPECT_EQ(want.stats.algorithm, Algorithm::kEaPrune);
-
-  ThreadPool tiny(1);
-  ThreadPool wide(4);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &tiny, &wide}) {
-    OptimizeResult got = OptimizeAdaptiveConcurrent(small, options, pool);
-    ASSERT_NE(got.plan, nullptr);
-    EXPECT_EQ(got.plan->cost, want.plan->cost);
-    EXPECT_EQ(got.stats.algorithm, Algorithm::kEaPrune);
-  }
-
-  gen.topology = QueryTopology::kChain;
-  gen.num_relations = 25;
-  Query large = GenerateRandomQuery(gen, 11);
-  OptimizeResult seq_large = OptimizeAdaptive(large, options);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &tiny}) {
-    OptimizeResult got = OptimizeAdaptiveConcurrent(large, options, pool);
-    ASSERT_NE(got.plan, nullptr);
-    EXPECT_EQ(got.plan->cost, seq_large.plan->cost);
-  }
+  EXPECT_EQ(BatchOnThreads(batch, OptimizerOptions{}, 1).stats.num_threads, 1);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "plangen/plan_cache.h"
 #include "plangen/plan_explain.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/fingerprint.h"
 #include "queries/query_generator.h"
 #include "tests/test_util.h"
@@ -147,7 +148,7 @@ PlannedQuery PlanNth(int i) {
   OptimizerOptions options;
   PlannedQuery p{NthQuery(i), {}, {}};
   p.fp = PlanCacheKey(p.query, options);
-  p.result = OptimizeAdaptive(p.query, options);
+  p.result = PlannerSession(options).Optimize(p.query);
   EXPECT_NE(p.result.plan, nullptr);
   return p;
 }
@@ -537,14 +538,14 @@ TEST(PersistentCache, TierTransitionsFreshMemoryDisk) {
     options.plan_cache = &l1;
 
     // Tier 0: fresh plan, lands in both tiers.
-    OptimizeResult r0 = OptimizeAdaptive(query, options);
+    OptimizeResult r0 = PlannerSession(options).Optimize(query);
     ASSERT_NE(r0.plan, nullptr);
     EXPECT_FALSE(r0.stats.cache_hit);
     EXPECT_EQ(r0.stats.cache_tier, 0);
     fresh_cost = r0.plan->cost;
 
     // Tier 1: the memory cache answers first.
-    OptimizeResult r1 = OptimizeAdaptive(query, options);
+    OptimizeResult r1 = PlannerSession(options).Optimize(query);
     EXPECT_TRUE(r1.stats.cache_hit);
     EXPECT_EQ(r1.stats.cache_tier, 1);
     EXPECT_EQ(r1.plan->cost, fresh_cost);
@@ -555,21 +556,21 @@ TEST(PersistentCache, TierTransitionsFreshMemoryDisk) {
   PlanCache l1_cold;
   options.plan_cache = &l1_cold;
 
-  OptimizeResult r2 = OptimizeAdaptive(query, options);
+  OptimizeResult r2 = PlannerSession(options).Optimize(query);
   EXPECT_TRUE(r2.stats.cache_hit);
   EXPECT_EQ(r2.stats.cache_tier, 2);
   ASSERT_NE(r2.plan, nullptr);
   EXPECT_EQ(r2.plan->cost, fresh_cost);
 
   // The disk hit was promoted: the next probe is a memory hit.
-  OptimizeResult r3 = OptimizeAdaptive(query, options);
+  OptimizeResult r3 = PlannerSession(options).Optimize(query);
   EXPECT_TRUE(r3.stats.cache_hit);
   EXPECT_EQ(r3.stats.cache_tier, 1);
   EXPECT_EQ(l1_cold.Snapshot().inserts, 1u);
 
   // Disk-only operation (no memory tier at all) also serves.
   options.plan_cache = nullptr;
-  OptimizeResult r4 = OptimizeAdaptive(query, options);
+  OptimizeResult r4 = PlannerSession(options).Optimize(query);
   EXPECT_TRUE(r4.stats.cache_hit);
   EXPECT_EQ(r4.stats.cache_tier, 2);
   EXPECT_EQ(r4.plan->cost, fresh_cost);

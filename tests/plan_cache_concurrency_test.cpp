@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "plangen/parallel.h"
 #include "plangen/plan_cache.h"
+#include "plangen/session.h"
 #include "queries/fingerprint.h"
 #include "queries/query_generator.h"
 
@@ -44,7 +44,7 @@ TEST(PlanCacheConcurrency, ConcurrentProbeInsertEvictIsConsistent) {
   std::vector<double> want_cost(kShapes);
   for (int s = 0; s < kShapes; ++s) {
     OptimizerOptions options;
-    want_cost[s] = OptimizeAdaptive(ShapeQuery(s), options).plan->cost;
+    want_cost[s] = PlannerSession(options).Optimize(ShapeQuery(s)).plan->cost;
   }
 
   std::vector<std::thread> threads;
@@ -56,7 +56,7 @@ TEST(PlanCacheConcurrency, ConcurrentProbeInsertEvictIsConsistent) {
       for (int i = 0; i < kItersPerThread; ++i) {
         int shape = (t * 7 + i * 3) % kShapes;
         Query q = ShapeQuery(shape);
-        OptimizeResult r = OptimizeAdaptive(q, options);
+        OptimizeResult r = PlannerSession(options).Optimize(q);
         // Deep-use the (possibly cached, possibly just-evicted) plan.
         if (r.plan == nullptr || r.plan->cost != want_cost[shape] ||
             r.plan->NodeCount() <= 0) {
@@ -90,7 +90,7 @@ TEST(PlanCacheConcurrency, RacingInsertsOfOneShapeShareOneEntry) {
     threads.emplace_back([&cache, &costs, t] {
       OptimizerOptions options;
       options.plan_cache = &cache;
-      costs[t] = OptimizeAdaptive(ShapeQuery(0), options).plan->cost;
+      costs[t] = PlannerSession(options).Optimize(ShapeQuery(0)).plan->cost;
     });
   }
   for (std::thread& th : threads) th.join();
@@ -110,7 +110,7 @@ TEST(PlanCacheConcurrency, InvalidateRacingLookupsIsSafe) {
   std::atomic<int> bad{0};
 
   OptimizerOptions options;
-  double want = OptimizeAdaptive(ShapeQuery(1), options).plan->cost;
+  double want = PlannerSession(options).Optimize(ShapeQuery(1)).plan->cost;
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -118,7 +118,7 @@ TEST(PlanCacheConcurrency, InvalidateRacingLookupsIsSafe) {
       OptimizerOptions cached;
       cached.plan_cache = &cache;
       while (!stop.load(std::memory_order_relaxed)) {
-        OptimizeResult r = OptimizeAdaptive(ShapeQuery(1), cached);
+        OptimizeResult r = PlannerSession(cached).Optimize(ShapeQuery(1));
         if (r.plan == nullptr || r.plan->cost != want) {
           bad.fetch_add(1, std::memory_order_relaxed);
         }
@@ -144,16 +144,18 @@ TEST(PlanCacheConcurrency, OptimizeBatchCacheDifferential) {
   for (int i = 0; i < 60; ++i) stream.push_back(ShapeQuery(i % kShapes));
 
   OptimizerOptions cache_off;
-  BatchResult reference = OptimizeBatch(stream, cache_off, 1);
+  BatchResult reference =
+      PlannerSession(cache_off).OptimizeBatch(stream, nullptr);
   ASSERT_EQ(reference.stats.cache_hits, 0);
 
   for (int threads : {2, 4, 8}) {
     PlanCache cache;
     OptimizerOptions cache_on;
     cache_on.plan_cache = &cache;
+    ThreadPool pool(threads);
 
-    BatchResult cold = OptimizeBatch(stream, cache_on, threads);
-    BatchResult warm = OptimizeBatch(stream, cache_on, threads);
+    BatchResult cold = PlannerSession(cache_on).OptimizeBatch(stream, &pool);
+    BatchResult warm = PlannerSession(cache_on).OptimizeBatch(stream, &pool);
     for (size_t i = 0; i < stream.size(); ++i) {
       ASSERT_NE(reference.results[i].plan, nullptr);
       EXPECT_EQ(cold.results[i].plan->cost, reference.results[i].plan->cost)

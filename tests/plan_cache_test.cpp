@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "plangen/parallel.h"
 #include "plangen/plan_validator.h"
+#include "plangen/session.h"
 #include "queries/fingerprint.h"
 #include "queries/query_generator.h"
 
@@ -37,7 +37,7 @@ QueryFingerprint SyntheticFingerprint(const std::string& tag) {
 
 OptimizeResult PlanFresh(const Query& q) {
   OptimizerOptions options;
-  return OptimizeAdaptive(q, options);
+  return PlannerSession(options).Optimize(q);
 }
 
 TEST(PlanCache, MissThenHitServesTheIdenticalPlan) {
@@ -248,9 +248,9 @@ TEST(PlanCache, AdaptiveFacadeDifferential) {
   corpus.push_back(CorpusQuery(16, 0, QueryTopology::kStar));
 
   for (const Query& q : corpus) {
-    OptimizeResult reference = OptimizeAdaptive(q, cache_off);
-    OptimizeResult cold = OptimizeAdaptive(q, cache_on);
-    OptimizeResult warm = OptimizeAdaptive(q, cache_on);
+    OptimizeResult reference = PlannerSession(cache_off).Optimize(q);
+    OptimizeResult cold = PlannerSession(cache_on).Optimize(q);
+    OptimizeResult warm = PlannerSession(cache_on).Optimize(q);
     ASSERT_NE(reference.plan, nullptr);
     EXPECT_FALSE(cold.stats.cache_hit);
     EXPECT_TRUE(warm.stats.cache_hit);
@@ -264,34 +264,6 @@ TEST(PlanCache, AdaptiveFacadeDifferential) {
   EXPECT_EQ(stats.hits, corpus.size());
   EXPECT_EQ(stats.misses, corpus.size());
   EXPECT_EQ(stats.inserts, corpus.size());
-}
-
-TEST(PlanCache, ConcurrentFacadeProbesTheCacheToo) {
-  // OptimizeAdaptiveConcurrent shares the wrapper: hit short-circuits the
-  // race; miss runs it and populates.
-  ThreadPool pool(2);
-  PlanCache cache;
-  OptimizerOptions options;
-  options.plan_cache = &cache;
-
-  Query big = CorpusQuery(20, 3, QueryTopology::kChain);
-  OptimizerOptions off;
-  OptimizeResult reference = OptimizeAdaptiveConcurrent(big, off, &pool);
-
-  OptimizeResult cold = OptimizeAdaptiveConcurrent(big, options, &pool);
-  OptimizeResult warm = OptimizeAdaptiveConcurrent(big, options, &pool);
-  ASSERT_NE(reference.plan, nullptr);
-  EXPECT_FALSE(cold.stats.cache_hit);
-  EXPECT_TRUE(warm.stats.cache_hit);
-  EXPECT_EQ(cold.plan->cost, reference.plan->cost);
-  EXPECT_EQ(warm.plan->cost, reference.plan->cost);
-  EXPECT_EQ(cache.Snapshot().hits, 1u);
-
-  // And the sequential-fallback path (null pool) still goes through the
-  // cache exactly once, via OptimizeAdaptive — no double counting.
-  OptimizeResult fallback = OptimizeAdaptiveConcurrent(big, options, nullptr);
-  EXPECT_TRUE(fallback.stats.cache_hit);
-  EXPECT_EQ(cache.Snapshot().hits, 2u);
 }
 
 TEST(PlanCache, MixedOptionConfigurationsNeverCrossServe) {
@@ -310,14 +282,14 @@ TEST(PlanCache, MixedOptionConfigurationsNeverCrossServe) {
 
   OptimizerOptions off_a, off_b;
   off_b.algorithm = Algorithm::kDphyp;
-  double want_default = OptimizeAdaptive(q, off_a).plan->cost;
-  double want_baseline = OptimizeAdaptive(q, off_b).plan->cost;
+  double want_default = PlannerSession(off_a).Optimize(q).plan->cost;
+  double want_baseline = PlannerSession(off_b).Optimize(q).plan->cost;
 
   // Interleave cold and warm probes of both configurations.
-  EXPECT_EQ(OptimizeAdaptive(q, defaults).plan->cost, want_default);
-  EXPECT_EQ(OptimizeAdaptive(q, baseline).plan->cost, want_baseline);
-  OptimizeResult warm_default = OptimizeAdaptive(q, defaults);
-  OptimizeResult warm_baseline = OptimizeAdaptive(q, baseline);
+  EXPECT_EQ(PlannerSession(defaults).Optimize(q).plan->cost, want_default);
+  EXPECT_EQ(PlannerSession(baseline).Optimize(q).plan->cost, want_baseline);
+  OptimizeResult warm_default = PlannerSession(defaults).Optimize(q);
+  OptimizeResult warm_baseline = PlannerSession(baseline).Optimize(q);
   EXPECT_TRUE(warm_default.stats.cache_hit);
   EXPECT_TRUE(warm_baseline.stats.cache_hit);
   EXPECT_EQ(warm_default.plan->cost, want_default);
@@ -334,7 +306,7 @@ TEST(PlanCache, UnsatisfiableResultsAreNotCached) {
   // unsatisfiable query exists in the generated workload, so pin the
   // invariant that inserts == satisfiable plans).
   Query q = CorpusQuery(5, 9);
-  OptimizeResult r = OptimizeAdaptive(q, options);
+  OptimizeResult r = PlannerSession(options).Optimize(q);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(cache.Snapshot().inserts, 1u);
 }

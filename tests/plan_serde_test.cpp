@@ -28,6 +28,7 @@
 #include "plangen/plan_serde.h"
 #include "plangen/plan_validator.h"
 #include "plangen/plangen.h"
+#include "plangen/session.h"
 #include "queries/query_generator.h"
 #include "queries/tpch.h"
 #include "tests/test_util.h"
@@ -240,7 +241,7 @@ TEST(PlanSerdeRoundTrip, CorpusAllStrategies) {
     }
     // The adaptive facade (production entry point).
     OptimizerOptions adaptive;
-    OptimizeResult r = OptimizeAdaptive(q, adaptive);
+    OptimizeResult r = PlannerSession(adaptive).Optimize(q);
     ASSERT_NE(r.plan, nullptr) << "corpus[" << qi << "]";
     ExpectRoundTrips(r, q, "corpus[" + std::to_string(qi) + "] adaptive");
     ++checked;
@@ -260,7 +261,7 @@ TEST(PlanSerdeRoundTrip, TpchSeeds) {
                        "tpch[" + std::to_string(i) + "] " + AlgorithmName(a));
     }
     OptimizerOptions adaptive;
-    OptimizeResult r = OptimizeAdaptive(seeds[i], adaptive);
+    OptimizeResult r = PlannerSession(adaptive).Optimize(seeds[i]);
     ASSERT_NE(r.plan, nullptr);
     ExpectRoundTrips(r, seeds[i], "tpch[" + std::to_string(i) + "] adaptive");
   }
@@ -283,7 +284,7 @@ TEST(PlanSerdeRoundTrip, LargeQueryStrategies) {
                              AlgorithmName(a));
       }
       OptimizerOptions adaptive;
-      OptimizeResult r = OptimizeAdaptive(q, adaptive);
+      OptimizeResult r = PlannerSession(adaptive).Optimize(q);
       ASSERT_NE(r.plan, nullptr);
       ExpectRoundTrips(r, q, "large n=" + std::to_string(n) + " adaptive");
     }

@@ -121,8 +121,9 @@ TEST(ServerFuzz, RequestDecodersAreTotal) {
     if (DecodeOpenSession(payload, &open)) {
       ASSERT_FALSE(open.session.empty());
       ASSERT_LE(open.session.size(), 256u);
-      ASSERT_GE(open.knobs.dp_threads, 1);
-      ASSERT_LE(open.knobs.dp_threads, 64);
+      // Not on the wire: every decoded session plans with the defaults.
+      ASSERT_EQ(open.knobs.dp_threads, 1);
+      ASSERT_EQ(open.knobs.goo_merge_budget, -1);
     }
     SetStatsRequest set_stats;
     if (DecodeSetStats(payload, &set_stats)) {

@@ -21,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "plangen/plan_serde.h"
+#include "plangen/session.h"
 #include "queries/mutation.h"
 #include "server/client.h"
 #include "server/load_client.h"
@@ -155,8 +156,26 @@ TEST(ServerProtocol, KnobsRoundTrip) {
   EXPECT_EQ(decoded.adaptive_exact_relations, knobs.adaptive_exact_relations);
   EXPECT_EQ(decoded.idp_block_size, knobs.idp_block_size);
   EXPECT_EQ(decoded.idp_inner, knobs.idp_inner);
-  EXPECT_EQ(decoded.goo_merge_budget, knobs.goo_merge_budget);
-  EXPECT_EQ(decoded.dp_threads, knobs.dp_threads);
+  // Not on the wire: a remote session plans with the defaults.
+  EXPECT_EQ(decoded.goo_merge_budget, PlannerKnobs{}.goo_merge_budget);
+  EXPECT_EQ(decoded.dp_threads, PlannerKnobs{}.dp_threads);
+}
+
+TEST(ServerProtocol, KnobsRejectTheVersionOneLayout) {
+  // Version 1 carried goo_merge_budget and dp_threads after idp_inner. A
+  // client still sending that layout is refused, not mis-parsed.
+  std::string v1;
+  AppendKnobs(&v1, PlannerKnobs{});
+  v1[0] = 1;
+  v1.push_back(1);  // zigzag(-1): goo_merge_budget
+  v1.push_back(2);  // zigzag(1): dp_threads
+  BinReader reader(v1);
+  PlannerKnobs sink;
+  EXPECT_FALSE(ReadKnobs(&reader, &sink));
+
+  // The same block behind a length-prefixed session name "s".
+  OpenSessionRequest decoded;
+  EXPECT_FALSE(DecodeOpenSession("\x01s" + v1, &decoded));
 }
 
 TEST(ServerProtocol, KnobsRejectHostileValues) {
@@ -174,8 +193,14 @@ TEST(ServerProtocol, KnobsRejectHostileValues) {
   reject([](std::string* b) { (*b)[0] = 99; });          // version skew
   reject([](std::string* b) { (*b)[1] = 42; });          // bad algorithm
   reject([](std::string* b) { b->pop_back(); });         // truncation
-  // dp_threads = 65: parses but violates the server-side bound.
-  reject([](std::string* b) { b->back() = static_cast<char>(65 << 1); });
+  // adaptive_exact_relations = 17: parses but violates the server-side
+  // bound.
+  reject([](std::string* b) {
+    PlannerKnobs hostile;
+    hostile.adaptive_exact_relations = 17;
+    b->clear();
+    AppendKnobs(b, hostile);
+  });
 }
 
 TEST(ServerProtocol, RequestRoundTripsRejectTrailingGarbage) {
@@ -567,7 +592,7 @@ void ExpectServedPlansBitIdentical(int port) {
     std::string perr;
     ASSERT_TRUE(ParseCorpusEntry(line, &entry, &perr)) << perr;
     OptimizeResult local =
-        OptimizeAdaptive(MaterializeSeed(entry.seed), OptimizerOptions{});
+        PlannerSession().Optimize(MaterializeSeed(entry.seed));
 
     // optimize_ms (and serve-path counters) legitimately differ; the
     // *plan* must not. Zero the stats on both sides and compare the full
