@@ -85,9 +85,9 @@ std::shared_ptr<OptimizerService::SessionState> OptimizerService::Find(
   return it->second;
 }
 
-Query* OptimizerService::MaterializeLocked(SessionState* state,
-                                           const std::string& spec_line,
-                                           ServiceStatus* status) {
+OptimizerService::MaterializedQuery* OptimizerService::MaterializeLocked(
+    SessionState* state, const std::string& spec_line,
+    ServiceStatus* status) {
   auto it = state->queries.find(spec_line);
   if (it != state->queries.end()) return &it->second;
 
@@ -128,7 +128,10 @@ Query* OptimizerService::MaterializeLocked(SessionState* state,
     }
     query = spec.ToQuery();
   }
-  auto [ins, inserted] = state->queries.emplace(spec_line, std::move(query));
+  // The key stays default (no catalog id): the first Optimize computes it
+  // from the resident query, whose catalog the move kept the id of.
+  auto [ins, inserted] = state->queries.emplace(
+      spec_line, MaterializedQuery{std::move(query), {}});
   (void)inserted;
   return &ins->second;
 }
@@ -139,10 +142,13 @@ ServiceStatus OptimizerService::SetStats(const SetStatsRequest& req) {
   if (!state) return status;
 
   std::lock_guard<std::mutex> lock(state->mu);
-  Query* query = MaterializeLocked(state.get(), req.spec_line, &status);
-  if (!query) return status;
+  MaterializedQuery* entry =
+      MaterializeLocked(state.get(), req.spec_line, &status);
+  if (!entry) return status;
 
-  Catalog* catalog = query->mutable_catalog();
+  // The mutators below bump the catalog's stats_epoch, which is all it
+  // takes to retire the line's memoized key (see the class comment).
+  Catalog* catalog = entry->query.mutable_catalog();
   // Unsigned compare: the wire carries any varint32, and an index of 2^31
   // or more would turn negative as an int and slip past the check.
   if (req.relation >= static_cast<uint32_t>(catalog->num_relations())) {
@@ -176,11 +182,19 @@ ServiceStatus OptimizerService::Optimize(const std::string& session,
   if (!state) return status;
 
   std::lock_guard<std::mutex> lock(state->mu);
-  Query* query = MaterializeLocked(state.get(), spec_line, &status);
-  if (!query) return status;
+  MaterializedQuery* entry = MaterializeLocked(state.get(), spec_line, &status);
+  if (!entry) return status;
 
   try {
-    *out = state->planner.Optimize(*query);
+    const Catalog& catalog = entry->query.catalog();
+    const StatsOverlay& hints = entry->key.overlay;
+    if (hints.catalog_id != catalog.catalog_id() ||
+        hints.stats_epoch != catalog.stats_epoch()) {
+      entry->key = PlanCacheKeySplit(entry->query, state->planner.knobs());
+      ++state->key_refreshes;
+    }
+    // By reference all the way down: a warm hit copies no part of the key.
+    *out = state->planner.Optimize(entry->query, entry->key);
   } catch (const std::exception& e) {
     return ServiceStatus::Error(ErrorCode::kPlanFailed, e.what());
   }
@@ -238,6 +252,7 @@ ServiceStatus OptimizerService::StatsJson(const std::string& session,
   json += ",\"optimizes\":" + std::to_string(state->optimizes) +
           ",\"cache_hits\":" + std::to_string(state->cache_hits) +
           ",\"stats_overrides\":" + std::to_string(state->stats_overrides) +
+          ",\"key_refreshes\":" + std::to_string(state->key_refreshes) +
           ",\"queries_materialized\":" +
           std::to_string(state->queries.size()) + "}";
   *out = std::move(json);

@@ -15,6 +15,17 @@
 // knobs all agree — which is exactly when sharing is correct
 // (server_test pins that divergent stats never cross-serve).
 //
+// Key memo: each materialized spec line keeps its two-layer cache key
+// (PlanCacheKeySplit under the session's knobs) next to the query, and
+// Optimize probes with it, so a warm hit pays the probe and not a
+// re-serialization of the whole query. The key is recomputed only when
+// the query's catalog no longer matches the (catalog_id, stats_epoch)
+// hints the key's overlay was captured under: every statistics mutation
+// bumps the epoch (catalog/catalog.h), so a SetStats — even a same-value
+// one — refreshes the key at the next Optimize with no extra code path.
+// Selectivities, the one statistic outside the catalog, live on the
+// operators, which the service never mutates after materialization.
+//
 // Admission control: TryAdmit/Release bound the planning work in flight
 // across all connections (ServiceOptions::max_inflight). The transport
 // (server/plan_server.h) admits before submitting to pool() and replies
@@ -121,7 +132,9 @@ class OptimizerService {
 
   /// JSON introspection document. Empty `session` renders the global view
   /// (session count, in-flight, totals, CacheTierStatsToJson of the shared
-  /// tiers); a session name renders that session's counters.
+  /// tiers); a session name renders that session's counters, including
+  /// `key_refreshes` — how often a memoized cache key was (re)computed,
+  /// which warm hits leave unchanged.
   ServiceStatus StatsJson(const std::string& session, std::string* out);
 
   // ---- Admission (used by the transport around pool() submission) ----
@@ -139,15 +152,25 @@ class OptimizerService {
   size_t session_count() const;
 
  private:
+  /// One materialized spec line: the query (its catalog is what SetStats
+  /// mutates in place) and its memoized cache key. The key is current
+  /// while its overlay's (catalog_id, stats_epoch) hints match
+  /// query.catalog(); a default key (id 0) never matches, so the first
+  /// Optimize computes it.
+  struct MaterializedQuery {
+    Query query;
+    PlanCacheSplitKey key;
+  };
+
   struct SessionState {
     std::mutex mu;  ///< serializes all calls into this session
     PlannerSession planner;
-    /// spec line -> materialized query (the session's catalogs live here;
-    /// SetStats mutates these in place).
-    std::unordered_map<std::string, Query> queries;
+    /// spec line -> materialized query and its key memo.
+    std::unordered_map<std::string, MaterializedQuery> queries;
     uint64_t optimizes = 0;
     uint64_t cache_hits = 0;
     uint64_t stats_overrides = 0;
+    uint64_t key_refreshes = 0;  ///< memoized keys (re)computed
   };
 
   /// Registry lookup; null + status set when unknown.
@@ -156,9 +179,10 @@ class OptimizerService {
 
   /// Parses, bounds, and materializes `spec_line` into `state->queries`
   /// (no-op if already present). Caller holds state->mu. Returns the
-  /// resident query or null with *status set (kBadRequest).
-  Query* MaterializeLocked(SessionState* state, const std::string& spec_line,
-                           ServiceStatus* status);
+  /// resident entry or null with *status set (kBadRequest).
+  MaterializedQuery* MaterializeLocked(SessionState* state,
+                                       const std::string& spec_line,
+                                       ServiceStatus* status);
 
   const ServiceOptions options_;
 

@@ -295,7 +295,8 @@ bool StartBackgroundReplan(
 }  // namespace
 
 OptimizeResult OptimizeThroughCache(
-    const Query& query, const OptimizerOptions& options,
+    const Query& query, const PlanCacheSplitKey& key,
+    const OptimizerOptions& options,
     const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
                                        double)>& plan_fresh) {
   auto start = std::chrono::steady_clock::now();
@@ -304,7 +305,6 @@ OptimizeResult OptimizeThroughCache(
                std::chrono::steady_clock::now() - start)
         .count();
   };
-  PlanCacheSplitKey key = PlanCacheKeySplit(query, options);
   const QueryFingerprint& fp = key.structural;
   // Set on the first drifted structural hit: the fresh plan must then
   // *replace* the stale entry (Refresh), not lose to it (Insert's
@@ -421,9 +421,9 @@ OptimizeResult OptimizeThroughCache(
       if (drifted) {
         // Inline re-plan of a drifted entry: the fresh result replaces
         // the stale one.
-        options.plan_cache->Refresh(fp, std::move(key.overlay), result);
+        options.plan_cache->Refresh(fp, key.overlay, result);
       } else {
-        options.plan_cache->Insert(fp, result, std::move(key.overlay));
+        options.plan_cache->Insert(fp, result, key.overlay);
       }
     }
   }

@@ -253,20 +253,25 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 
 /// The probe/populate wrapper behind every cache-aware facade entry point.
 /// Its sole caller is PlannerSession::OptimizeImpl (plangen/session.h),
-/// which PlannerSession::Optimize and OptimizeBatch share. Fingerprints the
-/// query *and the planning-relevant OptimizerOptions knobs* (one cache
+/// which both PlannerSession::Optimize overloads and OptimizeBatch share.
+/// `key` must equal PlanCacheKeySplit(query, options): the fingerprint of
+/// the query *and the planning-relevant OptimizerOptions knobs* (one cache
 /// can serve mixed configurations — the same query under different
 /// algorithms/ablations/knobs occupies distinct entries and is never
-/// cross-served), then probes tier by tier: the memory cache first
-/// (stats.cache_tier = 1 on a hit), then the persistent disk tier
-/// (plangen/persistent_cache.h; a hit decodes the stored blob, is
-/// promoted into the memory tier, and reports cache_tier = 2). On a full
-/// miss it plans fresh via `plan_fresh` — called with both cache
-/// pointers cleared so inner facade calls don't re-probe — writes any
-/// satisfiable result behind to the disk tier and inserts it into the
-/// memory tier. Hits of either tier set stats.cache_hit with optimize_ms
-/// = probe (+decode) time. Precondition: at least one of
-/// options.plan_cache / options.persistent_cache is non-null.
+/// cross-served). The caller computes it, so a caller whose query has not
+/// changed since the last call (the service's per-spec-line memo,
+/// server/optimizer_service.h) probes without re-serializing anything;
+/// only misses copy it (Insert/Refresh/Put). Probes tier by tier: the
+/// memory cache first (stats.cache_tier = 1 on a hit), then the
+/// persistent disk tier (plangen/persistent_cache.h; a hit decodes the
+/// stored blob, is promoted into the memory tier, and reports
+/// cache_tier = 2). On a full miss it plans fresh via `plan_fresh` —
+/// called with both cache pointers cleared so inner facade calls don't
+/// re-probe — writes any satisfiable result behind to the disk tier and
+/// inserts it into the memory tier. Hits of either tier set stats.cache_hit with optimize_ms
+/// = probe (+decode) time; the caller's fingerprint is not in it.
+/// Precondition: at least one of options.plan_cache /
+/// options.persistent_cache is non-null.
 ///
 /// Drift handling (DESIGN.md §14): entries are keyed on the structural
 /// fingerprint with the statistics overlay stored per entry. A hit whose
@@ -286,7 +291,8 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 /// re-plan that follows — inline or background — receives it as
 /// `plan_fresh`'s cost bound. Misses plan with kNoCostBound.
 OptimizeResult OptimizeThroughCache(
-    const Query& query, const OptimizerOptions& options,
+    const Query& query, const PlanCacheSplitKey& key,
+    const OptimizerOptions& options,
     const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
                                        double cost_bound)>& plan_fresh);
 

@@ -236,7 +236,11 @@ struct OptimizeStats {
   Algorithm algorithm = Algorithm::kEaPrune;
   /// True iff the result was served from a cache tier (memory or disk);
   /// the other counters then describe the run that originally built the
-  /// plan, while optimize_ms is the fingerprint+probe time of *this* call.
+  /// plan, while optimize_ms is the probe (+decode) time of *this* call —
+  /// plus the fingerprint when the call computed it
+  /// (PlannerSession::Optimize(query)); a hit probed with a caller's
+  /// memoized key (Optimize(query, key), the service's warm path) no
+  /// longer includes it.
   bool cache_hit = false;
   /// Which tier served the result: 0 = planned fresh, 1 = memory tier
   /// (OptimizerOptions::plan_cache), 2 = disk tier (persistent_cache,

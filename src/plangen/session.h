@@ -10,6 +10,9 @@
 // Every entry point funnels through one private OptimizeImpl — probe the
 // configured cache tiers (plangen/plan_cache.h) when any are attached,
 // plan fresh otherwise — so the probe/populate logic exists exactly once.
+// Optimize(query) fingerprints the query itself; Optimize(query, key)
+// probes with a key the caller prepared (and may keep across calls while
+// the query is unchanged — the service's memo, server/optimizer_service.h).
 //
 // The split the session API rests on (plangen/plangen.h): PlannerKnobs is
 // plan identity (folded into the cache key wholesale), PlannerContext is
@@ -40,6 +43,8 @@
 #include "plangen/plangen.h"
 
 namespace eadp {
+
+struct PlanCacheSplitKey;  // plangen/plan_cache.h
 
 /// Aggregate serving statistics of one OptimizeBatch call. Latencies are
 /// per-query wall-clock optimization times (exact DP or the large-query
@@ -93,6 +98,14 @@ class PlannerSession {
   /// (OptimizeAdaptiveUncached) on a miss.
   OptimizeResult Optimize(const Query& query) const;
 
+  /// As Optimize(query), probing with a caller-prepared cache key instead
+  /// of fingerprinting `query`. Contract: `key` equals
+  /// PlanCacheKeySplit(query, knobs()) — a stale key probes (and populates)
+  /// the wrong entry. A hit's optimize_ms then covers the probe only.
+  /// Without cache tiers the key is unused and the query is planned fresh.
+  OptimizeResult Optimize(const Query& query,
+                          const PlanCacheSplitKey& key) const;
+
   /// Plans every query of `queries`, one pool task (and one private
   /// arena) per query, each through this->Optimize; the call blocks until
   /// the whole batch is planned. Returns per-query results in input order
@@ -114,9 +127,10 @@ class PlannerSession {
   /// THE probe path: every session entry point (and so every facade call
   /// in the codebase) goes through here. With any cache tier attached,
   /// delegates to OptimizeThroughCache (which calls `plan_fresh` with the
-  /// context's cache pointers cleared on a miss); without one, plans fresh
-  /// directly.
-  OptimizeResult OptimizeImpl(const Query& query,
+  /// context's cache pointers cleared on a miss) under `key`, or under
+  /// PlanCacheKeySplit(query, knobs()) when `key` is null; without one,
+  /// plans fresh directly.
+  OptimizeResult OptimizeImpl(const Query& query, const PlanCacheSplitKey* key,
                               const PlanFreshFn& plan_fresh) const;
 
   OptimizerOptions options_;

@@ -2,8 +2,10 @@
 // hostile-frame battery (a malformed frame must never kill the connection
 // loop, except the oversized case where closing IS the contract), session
 // isolation under divergent statistics, deterministic backpressure at the
-// admission bound, and the fork-based round trip pinning that a plan
-// served over the wire is bit-identical to an in-process run.
+// admission bound, the fork-based round trip pinning that a plan
+// served over the wire is bit-identical to an in-process run, and the
+// service's per-spec-line cache-key memo (refreshed exactly when the
+// line's statistics move, under concurrent SetStats too).
 
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -13,12 +15,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/bitset.h"
+#include "cost/recost.h"
 #include "gtest/gtest.h"
 #include "plangen/plan_serde.h"
 #include "plangen/session.h"
@@ -28,6 +36,7 @@
 #include "server/optimizer_service.h"
 #include "server/plan_server.h"
 #include "server/protocol.h"
+#include "tests/test_util.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define EADP_TSAN 1
@@ -689,6 +698,328 @@ TEST(PlanServerLoad, ConcurrentZipfSessionsHitWarmCache) {
   EXPECT_EQ(report.cost_mismatches, 0u);
   EXPECT_EQ(report.queries, 4u * 50u);
   EXPECT_GE(report.hit_rate, 0.95);
+}
+
+// ---------------------------------------------------------------------------
+// The service's cache-key memo: each materialized spec line keeps its
+// PlanCacheSplitKey and recomputes it only when the line's catalog epoch
+// moved. Every served plan must equal an uncached run of an identically
+// mutated local query — a memo left stale by a SetStats would serve the
+// plan of the old statistics.
+// ---------------------------------------------------------------------------
+
+/// The query the service materializes for a chain-free `line`.
+Query MaterializeLine(const std::string& line) {
+  CorpusEntry entry;
+  std::string error;
+  EXPECT_TRUE(ParseCorpusEntry(line, &entry, &error)) << error;
+  EXPECT_TRUE(entry.chain.empty()) << line;
+  return MaterializeSeed(entry.seed);
+}
+
+/// SetStats' repair rule applied to a local query: key attributes track
+/// the new cardinality, non-key distincts are capped at it.
+void ApplySetStats(Query* query, int r, double cardinality) {
+  Catalog* catalog = query->mutable_catalog();
+  double card = std::max(1.0, std::floor(cardinality));
+  const RelationDef& rel = catalog->relation(r);
+  AttrSet key_attrs;
+  for (const AttrSet& key : rel.keys) key_attrs.UnionWith(key);
+  catalog->SetCardinality(r, card);
+  for (int a : BitsOf(rel.attributes)) {
+    catalog->SetDistinct(a, key_attrs.Contains(a)
+                                ? card
+                                : std::min(catalog->DistinctOf(a), card));
+  }
+}
+
+/// Plan-only bytes of an uncached run: the served-plan reference.
+std::string UncachedBytes(const Query& query, const PlannerKnobs& knobs) {
+  return PlanOnlyBytes(PlannerSession(knobs, PlannerContext{}).Optimize(query));
+}
+
+/// The value of `"name":<uint>` in a flat stats document.
+uint64_t JsonCounter(const std::string& json, const std::string& name) {
+  std::string tag = "\"" + name + "\":";
+  size_t at = json.find(tag);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + tag.size()));
+}
+
+uint64_t KeyRefreshes(OptimizerService* service, const std::string& session) {
+  std::string json;
+  EXPECT_TRUE(service->StatsJson(session, &json).ok());
+  return JsonCounter(json, "key_refreshes");
+}
+
+/// Optimizes `line` in `session` and checks the served plan against an
+/// uncached run of `local` under `knobs`.
+void ExpectServedMatchesUncached(OptimizerService* service,
+                                 const std::string& session,
+                                 const std::string& line, const Query& local,
+                                 const PlannerKnobs& knobs,
+                                 OptimizeResult* served_out = nullptr) {
+  OptimizeResult served;
+  ServiceStatus status = service->Optimize(session, line, &served);
+  ASSERT_TRUE(status.ok()) << status.message;
+  ASSERT_NE(served.plan, nullptr);
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch would dump two binary blobs.
+  EXPECT_TRUE(PlanOnlyBytes(served) == UncachedBytes(local, knobs))
+      << "served plan differs from the uncached reference";
+  if (served_out != nullptr) *served_out = std::move(served);
+}
+
+TEST(ServiceKeyMemo, ServedPlansFollowEveryStatisticsChange) {
+  OptimizerService service(ServiceOptions{});
+  const PlannerKnobs knobs;
+  ASSERT_TRUE(service.OpenSession("s", knobs).ok());
+  const std::string line = "gen chain 6 default 11 :";
+  Query local = MaterializeLine(line);
+
+  {
+    SCOPED_TRACE("first Optimize");
+    ExpectServedMatchesUncached(&service, "s", line, local, knobs);
+    EXPECT_EQ(KeyRefreshes(&service, "s"), 1u);
+  }
+
+  {
+    SCOPED_TRACE("value-changing SetStats");
+    ASSERT_TRUE(service.SetStats({"s", line, 0, 1000000.0}).ok());
+    ApplySetStats(&local, 0, 1000000.0);
+    ExpectServedMatchesUncached(&service, "s", line, local, knobs);
+    EXPECT_EQ(KeyRefreshes(&service, "s"), 2u);
+  }
+  {
+    // Same values: the epoch still moves, so the key is recomputed once,
+    // and the recomputed overlay compares equal — an exact hit.
+    SCOPED_TRACE("same-value SetStats");
+    double card = local.catalog().relation(0).cardinality;
+    ASSERT_TRUE(service.SetStats({"s", line, 0, card}).ok());
+    ApplySetStats(&local, 0, card);
+    OptimizeResult served;
+    ExpectServedMatchesUncached(&service, "s", line, local, knobs, &served);
+    EXPECT_EQ(served.stats.cache_tier, 1);
+    EXPECT_FALSE(served.stats.replan_avoided);
+    EXPECT_EQ(KeyRefreshes(&service, "s"), 3u);
+  }
+  {
+    SCOPED_TRACE("SetStats on a line never optimized");
+    const std::string fresh_line = "gen star 5 default 4898 :";
+    Query fresh_local = MaterializeLine(fresh_line);
+    ASSERT_TRUE(service.SetStats({"s", fresh_line, 2, 77.0}).ok());
+    ApplySetStats(&fresh_local, 2, 77.0);
+    ExpectServedMatchesUncached(&service, "s", fresh_line, fresh_local,
+                                knobs);
+    EXPECT_EQ(KeyRefreshes(&service, "s"), 4u);
+  }
+  // The first line is untouched by the other line's SetStats.
+  ExpectServedMatchesUncached(&service, "s", line, local, knobs);
+  EXPECT_EQ(KeyRefreshes(&service, "s"), 4u);
+}
+
+TEST(ServiceKeyMemo, SessionsWithDifferentKnobsKeepTheirOwnKeys) {
+  OptimizerService service(ServiceOptions{});
+  PlannerKnobs dphyp;
+  dphyp.algorithm = Algorithm::kDphyp;
+  const PlannerKnobs ea;
+  ASSERT_TRUE(service.OpenSession("ea", ea).ok());
+  ASSERT_TRUE(service.OpenSession("dphyp", dphyp).ok());
+  const std::string line = "gen random-tree 7 default 13 :";
+  Query local = MaterializeLine(line);
+  ASSERT_TRUE(UncachedBytes(local, ea) != UncachedBytes(local, dphyp))
+      << "the line must tell the two knob sets apart";
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "cold" : "warm");
+    ExpectServedMatchesUncached(&service, "ea", line, local, ea);
+    ExpectServedMatchesUncached(&service, "dphyp", line, local, dphyp);
+  }
+  // Drifting one session's statistics moves only that session's key.
+  ASSERT_TRUE(service.SetStats({"dphyp", line, 1, 5.0}).ok());
+  Query drifted = MaterializeLine(line);
+  ApplySetStats(&drifted, 1, 5.0);
+  ExpectServedMatchesUncached(&service, "ea", line, local, ea);
+  ExpectServedMatchesUncached(&service, "dphyp", line, drifted, dphyp);
+  EXPECT_EQ(KeyRefreshes(&service, "ea"), 1u);
+  EXPECT_EQ(KeyRefreshes(&service, "dphyp"), 2u);
+}
+
+TEST(ServiceKeyMemo, ExactHitDriftBandAndReplanOutcomes) {
+  ServiceOptions options;
+  options.drift_tolerance = 1.0;
+  OptimizerService service(options);
+  const PlannerKnobs knobs;
+  ASSERT_TRUE(service.OpenSession("s", knobs).ok());
+  const std::string line = "gen chain 6 default 11 :";
+  Query local = MaterializeLine(line);
+  ExpectServedMatchesUncached(&service, "s", line, local, knobs);
+
+  {
+    SCOPED_TRACE("exact hit");
+    OptimizeResult served;
+    ExpectServedMatchesUncached(&service, "s", line, local, knobs, &served);
+    EXPECT_EQ(served.stats.cache_tier, 1);
+    EXPECT_FALSE(served.stats.replan_avoided);
+  }
+  {
+    // A 1% drift of a keyless relation (one statistic moves) stays inside
+    // the band: the service serves the cached plan (built under the
+    // previous statistics) re-costed under the new ones. A stale memo
+    // would probe with the old overlay and report a plain exact hit.
+    SCOPED_TRACE("drift band");
+    const std::string before = UncachedBytes(local, knobs);
+    constexpr int kKeyless = 3;
+    ASSERT_TRUE(local.catalog().relation(kKeyless).keys.empty());
+    double card =
+        std::floor(local.catalog().relation(kKeyless).cardinality * 1.01);
+    ASSERT_NE(card, local.catalog().relation(kKeyless).cardinality);
+    ASSERT_TRUE(service.SetStats({"s", line, kKeyless, card}).ok());
+    ApplySetStats(&local, kKeyless, card);
+    OptimizeResult served;
+    ASSERT_TRUE(service.Optimize("s", line, &served).ok());
+    ASSERT_NE(served.plan, nullptr);
+    ASSERT_TRUE(served.stats.replan_avoided);
+    EXPECT_EQ(served.stats.cache_tier, 1);
+    EXPECT_TRUE(PlanOnlyBytes(served) == before)
+        << "drift-band serve is not the plan of the previous statistics";
+    RecostResult rc = RecostPlan(served.plan, local);
+    ASSERT_TRUE(rc.ok);
+    EXPECT_EQ(served.stats.recosted_cost, rc.cost);
+  }
+  {
+    // A thousandfold drift leaves the band: re-planned inline, the fresh
+    // plan served.
+    SCOPED_TRACE("re-plan");
+    double card = local.catalog().relation(0).cardinality * 1000;
+    ASSERT_TRUE(service.SetStats({"s", line, 0, card}).ok());
+    ApplySetStats(&local, 0, card);
+    OptimizeResult served;
+    ExpectServedMatchesUncached(&service, "s", line, local, knobs, &served);
+    EXPECT_FALSE(served.stats.cache_hit);
+    EXPECT_FALSE(served.stats.replan_avoided);
+  }
+  EXPECT_EQ(KeyRefreshes(&service, "s"), 3u);
+}
+
+TEST(ServiceKeyMemo, WarmHitsNeverRefingerprint) {
+  OptimizerService service(ServiceOptions{});
+  ASSERT_TRUE(service.OpenSession("s", PlannerKnobs{}).ok());
+  const std::string line = "gen star 6 default 12 :";
+  OptimizeResult served;
+  ASSERT_TRUE(service.Optimize("s", line, &served).ok());
+  const uint64_t cold = KeyRefreshes(&service, "s");
+  EXPECT_EQ(cold, 1u);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(service.Optimize("s", line, &served).ok());
+    ASSERT_TRUE(served.stats.cache_hit);
+  }
+  EXPECT_EQ(KeyRefreshes(&service, "s"), cold);
+  ASSERT_TRUE(service.SetStats({"s", line, 0, 123.0}).ok());
+  EXPECT_EQ(KeyRefreshes(&service, "s"), cold) << "SetStats alone is lazy";
+  ASSERT_TRUE(service.Optimize("s", line, &served).ok());
+  EXPECT_EQ(KeyRefreshes(&service, "s"), cold + 1);
+}
+
+/// Cardinality of relation `r`'s scan in `plan` (-1 when absent).
+double ScanCardinality(const PlanNode* plan, int r) {
+  if (plan == nullptr) return -1;
+  if (plan->op == PlanOp::kScan && plan->relation == r) {
+    return plan->cardinality;
+  }
+  double left = ScanCardinality(plan->left, r);
+  return left >= 0 ? left : ScanCardinality(plan->right, r);
+}
+
+TEST(ServiceKeyMemo, ConcurrentOptimizeAndSetStatsServeTheirStatistics) {
+  // Four threads interleave Optimize and SetStats on one session and one
+  // line. Writers append each value to a log before applying it (both
+  // under `write_mu`), so an Optimize that read log sizes `before` and
+  // `after` around its call saw one of log[before-1 .. after-1]. The
+  // served plan's scan of relation 0 names the value it was planned
+  // under; that value must be in the window and the plan must be the
+  // uncached reference for it. Every value is >= the original
+  // cardinality, which is written once up front, so the repair rule
+  // makes the catalog a function of the last value written (non-key
+  // distincts stay capped at the original). The loop never writes the
+  // up-front value, so a memo stuck on the first statistics is caught on
+  // every call after the first write.
+  OptimizerService service(ServiceOptions{});
+  const PlannerKnobs knobs;
+  ASSERT_TRUE(service.OpenSession("s", knobs).ok());
+  const std::string line = "gen chain 5 default 3 :";
+  const double base =
+      MaterializeLine(line).catalog().relation(0).cardinality;
+  const double values[] = {base * 2, base * 3, base * 5, base * 7};
+
+  struct Reference {
+    double value;
+    std::string bytes;
+  };
+  std::map<double, Reference> reference;  // scan cardinality -> reference
+  for (double v : {base, values[0], values[1], values[2], values[3]}) {
+    Query q = MaterializeLine(line);
+    ApplySetStats(&q, 0, base);
+    ApplySetStats(&q, 0, v);
+    OptimizeResult r = PlannerSession(knobs, PlannerContext{}).Optimize(q);
+    ASSERT_NE(r.plan, nullptr);
+    double scan = ScanCardinality(r.plan, 0);
+    ASSERT_GE(scan, 0);
+    ASSERT_TRUE(reference.emplace(scan, Reference{v, PlanOnlyBytes(r)}).second)
+        << "each value must show in the scan";
+  }
+
+  std::mutex write_mu;
+  std::vector<double> log = {base};
+  ASSERT_TRUE(service.SetStats({"s", line, 0, base}).ok());
+  auto log_size = [&] {
+    std::lock_guard<std::mutex> lock(write_mu);
+    return log.size();
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 120;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> served_count(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        if ((i + t) % 3 == 0) {
+          double v = values[(i * 7 + t) % 4];
+          std::lock_guard<std::mutex> lock(write_mu);
+          log.push_back(v);
+          if (!service.SetStats({"s", line, 0, v}).ok()) ++mismatches[t];
+          continue;
+        }
+        size_t before = log_size();
+        OptimizeResult served;
+        bool ok = service.Optimize("s", line, &served).ok() &&
+                  served.plan != nullptr;
+        size_t after = log_size();
+        ++served_count[t];
+        auto it = ok ? reference.find(ScanCardinality(served.plan, 0))
+                     : reference.end();
+        if (it == reference.end() ||
+            it->second.bytes != PlanOnlyBytes(served)) {
+          ++mismatches[t];
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(write_mu);
+        if (std::find(log.begin() + static_cast<ptrdiff_t>(before - 1),
+                      log.begin() + static_cast<ptrdiff_t>(after),
+                      it->second.value) ==
+            log.begin() + static_cast<ptrdiff_t>(after)) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_GT(served_count[t], 0) << "thread " << t;
+  }
 }
 
 }  // namespace
