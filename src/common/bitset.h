@@ -129,6 +129,13 @@ class Bitset128 {
     return lo != 0 ? std::countr_zero(lo) : 64 + std::countr_zero(high());
   }
 
+  /// Index of the highest set bit. Undefined on the empty set.
+  constexpr int Highest() const {
+    assert(!empty());
+    uint64_t hi = high();
+    return hi != 0 ? 127 - std::countl_zero(hi) : 63 - std::countl_zero(low());
+  }
+
   /// The set containing only the lowest element. Undefined on the empty set.
   constexpr Bitset128 LowestBit() const {
     assert(!empty());

@@ -33,10 +33,9 @@ class Enumerator {
     RelSet x = s1.Union(RelSet::Below(s1.Lowest() + 1));
     RelSet n = graph_.Neighborhood(s1, x);
     // Descending order over the neighborhood.
-    std::vector<int> members;
-    for (int v : BitsOf(n)) members.push_back(v);
-    for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      int v = *it;
+    for (RelSet rest = n; !rest.empty();) {
+      int v = rest.Highest();
+      rest.Remove(v);
       RelSet s2 = RelSet::Single(v);
       if (graph_.Connects(s1, s2)) Emit(s1, s2);
       // Forbid smaller-or-equal neighbors so each S2 is grown exactly once.

@@ -1,13 +1,26 @@
 #include "hypergraph/hypergraph.h"
 
+#include <cassert>
+
 #include "common/strings.h"
 
 namespace eadp {
 
+void Hypergraph::AddEdge(RelSet left, RelSet right, int op_index) {
+  assert(left.Union(right).IsSubsetOf(RelSet::FirstN(num_nodes_)));
+  edges_.push_back({left, right, op_index});
+  if (left.Count() == 1 && right.Count() == 1) {
+    adjacency_[static_cast<size_t>(left.Lowest())].UnionWith(right);
+    adjacency_[static_cast<size_t>(right.Lowest())].UnionWith(left);
+  } else {
+    complex_edges_.push_back(edges_.back());
+  }
+}
+
 RelSet Hypergraph::Neighborhood(RelSet s, RelSet x) const {
   RelSet forbidden = s.Union(x);
-  RelSet n;
-  for (const Hyperedge& e : edges_) {
+  RelSet n = SimpleNeighbors(s).Minus(forbidden);
+  for (const Hyperedge& e : complex_edges_) {
     if (e.left.IsSubsetOf(s) && !e.right.Intersects(forbidden)) {
       n.Add(e.right.Lowest());
     }
@@ -19,7 +32,11 @@ RelSet Hypergraph::Neighborhood(RelSet s, RelSet x) const {
 }
 
 bool Hypergraph::Connects(RelSet s1, RelSet s2) const {
-  for (const Hyperedge& e : edges_) {
+  // Adjacency is symmetric: walk the smaller side's masks.
+  RelSet small = s1.Count() <= s2.Count() ? s1 : s2;
+  RelSet large = small == s1 ? s2 : s1;
+  if (SimpleNeighbors(small).Intersects(large)) return true;
+  for (const Hyperedge& e : complex_edges_) {
     if (e.left.IsSubsetOf(s1) && e.right.IsSubsetOf(s2)) return true;
     if (e.left.IsSubsetOf(s2) && e.right.IsSubsetOf(s1)) return true;
   }
@@ -28,23 +45,26 @@ bool Hypergraph::Connects(RelSet s1, RelSet s2) const {
 
 bool Hypergraph::IsConnected(RelSet s) const {
   if (s.empty()) return false;
-  if (s.Count() == 1) return true;
   RelSet reached = s.LowestBit();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Hyperedge& e : edges_) {
-      if (!e.left.IsSubsetOf(s) || !e.right.IsSubsetOf(s)) continue;
-      if (e.left.IsSubsetOf(reached) && !e.right.IsSubsetOf(reached)) {
-        reached.UnionWith(e.right);
-        changed = true;
-      } else if (e.right.IsSubsetOf(reached) && !e.left.IsSubsetOf(reached)) {
-        reached.UnionWith(e.left);
-        changed = true;
-      }
+  RelSet frontier = reached;
+  while (true) {
+    // Simple edges: breadth-first over the masks, confined to s.
+    while (!frontier.empty()) {
+      frontier = SimpleNeighbors(frontier).Intersect(s).Minus(reached);
+      reached.UnionWith(frontier);
     }
+    if (reached == s) return true;
+    // A complex edge inside s whose one side is reached reaches its other
+    // side whole; repeat until neither kind of edge adds a node.
+    for (const Hyperedge& e : complex_edges_) {
+      if (!e.left.IsSubsetOf(s) || !e.right.IsSubsetOf(s)) continue;
+      if (e.left.IsSubsetOf(reached)) frontier.UnionWith(e.right);
+      if (e.right.IsSubsetOf(reached)) frontier.UnionWith(e.left);
+    }
+    frontier = frontier.Minus(reached);
+    if (frontier.empty()) return false;
+    reached.UnionWith(frontier);
   }
-  return reached == s;
 }
 
 std::string Hypergraph::ToString() const {

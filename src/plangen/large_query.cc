@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -142,31 +141,37 @@ class LargeQueryRun {
   int dp_workers_used_ = 1;
 };
 
-struct RelSetPairHash {
-  size_t operator()(const std::pair<RelSet, RelSet>& p) const {
-    return static_cast<size_t>(Mix64(p.first.Hash() + p.second.Hash()));
-  }
-};
-
 /// kGoo's merge loop: the unfinalized plan of the last remaining unit, or
 /// the canonical plan when merging gets stuck.
 PlanPtr GreedyPlan(LargeQueryRun& run) {
   const OptimizerOptions& options = run.options();
   std::vector<PlanPtr> units = run.MakeLeafUnits();
+  const size_t n = units.size();
 
-  // Cheapest OpTrees combination per unit pair, keyed by the pair's
-  // (disjoint, hence distinct) relation sets in canonical order. Merges
-  // leave all other units untouched, so cached candidates stay valid
-  // across rounds; only pairs involving the freshly merged unit miss.
-  std::unordered_map<std::pair<RelSet, RelSet>, PlanPtr, RelSetPairHash>
-      candidates;
-  candidates.reserve(units.size() * units.size() / 2);
+  // Cheapest OpTrees combination per unit pair, indexed by the two units'
+  // slots in `units`. A merge keeps the merged unit in the lower slot and
+  // retires the higher one, leaving all other units untouched, so cached
+  // candidates stay valid across rounds; only pairs involving the freshly
+  // merged unit are computed again. A blocked pair (null) is cached too.
+  struct Memo {
+    bool computed = false;
+    PlanPtr plan = nullptr;
+  };
+  std::vector<Memo> memo(n * n);
+  // Live slots in ascending order: the pair scan visits the units in the
+  // order of a list the merges erase from.
+  std::vector<size_t> live(n);
+  for (size_t i = 0; i < n; ++i) live[i] = i;
   std::vector<PlanPtr> trees;
-  auto candidate = [&](PlanPtr a, PlanPtr b) -> PlanPtr {
-    if (b->rels < a->rels) std::swap(a, b);
-    auto [it, inserted] = candidates.try_emplace({a->rels, b->rels}, nullptr);
-    if (!inserted) return it->second;
+  auto candidate = [&](size_t i, size_t j) -> PlanPtr {
+    Memo& m = memo[i * n + j];
+    if (m.computed) return m.plan;
+    m.computed = true;
     run.CountCut();
+    // Orient the pair by relation set (smaller word first), so the cut is
+    // costed the same way whichever slot holds which unit.
+    PlanPtr a = units[i], b = units[j];
+    if (b->rels < a->rels) std::swap(a, b);
     CrossingOps crossing = run.builder().FindCrossingOps(a->rels, b->rels);
     if (!crossing.valid) return nullptr;
     PlanPtr t1 = crossing.swap ? b : a;
@@ -177,12 +182,12 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
     for (PlanPtr t : trees) {
       if (best == nullptr || t->cost < best->cost) best = t;
     }
-    it->second = best;
+    m.plan = best;
     return best;
   };
 
   int merges = 0;
-  while (units.size() > 1) {
+  while (live.size() > 1) {
     size_t bi = 0, bj = 0;
     PlanPtr best = nullptr;
     // The merge budget (testing/ablation, -1 = unlimited) deliberately
@@ -191,9 +196,9 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
     bool budget_left = options.goo_merge_budget < 0 ||
                        merges < options.goo_merge_budget;
     if (budget_left) {
-      for (size_t i = 0; i < units.size(); ++i) {
-        for (size_t j = i + 1; j < units.size(); ++j) {
-          PlanPtr t = candidate(units[i], units[j]);
+      for (size_t i = 0; i < live.size(); ++i) {
+        for (size_t j = i + 1; j < live.size(); ++j) {
+          PlanPtr t = candidate(live[i], live[j]);
           if (t != nullptr && (best == nullptr || t->cost < best->cost)) {
             best = t;
             bi = i;
@@ -221,11 +226,16 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
       // is exercised via OptimizerOptions::goo_merge_budget.
       return run.CanonicalPlan();
     }
-    units[bi] = best;
-    units.erase(units.begin() + static_cast<ptrdiff_t>(bj));
+    size_t merged = live[bi];
+    units[merged] = best;
+    for (size_t k = 0; k < n; ++k) {
+      memo[merged * n + k] = Memo{};
+      memo[k * n + merged] = Memo{};
+    }
+    live.erase(live.begin() + static_cast<ptrdiff_t>(bj));
     ++merges;
   }
-  return units[0];
+  return units[live[0]];
 }
 
 }  // namespace

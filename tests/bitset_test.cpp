@@ -63,6 +63,14 @@ TEST(Bitset128, LowestBit) {
   EXPECT_EQ(s.LowestBit(), Bitset128::Single(2));
 }
 
+TEST(Bitset128, Highest) {
+  EXPECT_EQ(Bitset128::Single(0).Highest(), 0);
+  EXPECT_EQ(Bitset128::Single(6).Union(Bitset128::Single(2)).Highest(), 6);
+  EXPECT_EQ(Bitset128::Single(63).Union(Bitset128::Single(1)).Highest(), 63);
+  EXPECT_EQ(Bitset128::Single(64).Union(Bitset128::Single(63)).Highest(), 64);
+  EXPECT_EQ(Bitset128::FirstN(kBitsetCapacity).Highest(), 127);
+}
+
 TEST(Bitset128, IterationOrder) {
   Bitset128 s;
   s.Add(9);

@@ -8,6 +8,8 @@
 //     plan_validator, up to the seeded 100-relation topologies;
 //   * facade policy — relation count decides exact vs. large-query, and
 //     the 100-relation acceptance case optimizes within the budget;
+//   * GOO pin — kGoo's cost bits and counters on 20/50/100-relation
+//     queries, unlimited and through the merge-budget fallback;
 //   * exec smoke — kGoo/kIdp plans compute the kDphyp baseline's rows
 //     (the broad sweep lives in large_query_slow_test, ctest label
 //     "slow").
@@ -15,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "plangen/large_query.h"
@@ -197,6 +202,68 @@ TEST(LargeQueryValidity, MidSizeTopologiesValidateUnderAllStrategies) {
         ExpectValid(r, query, AlgorithmName(a));
       }
     }
+  }
+}
+
+TEST(LargeQueryGooPin, CostBitsAndCountersMatchRecordedValues) {
+  // kGoo's plan cost bits, ccp_count (pairs costed) and plans_built on
+  // seeded (seed 1) 20/50/100-relation queries of every structured
+  // topology, unlimited and with a 5-merge budget that takes the
+  // original-tree fallback. They pin the pair scan order, its strict-<
+  // tie rule and the pair memo's hit/miss pattern: changing any of them
+  // moves a cost or a counter. The 100-relation star's 23030 plans are
+  // what the large facade pays there.
+  struct Pin {
+    QueryTopology topology;
+    int n;
+    int merge_budget;
+    uint64_t cost_bits;
+    uint64_t ccp_count;
+    uint64_t plans_built;
+  };
+  const Pin pins[] = {
+      {QueryTopology::kChain, 20, -1, 0x40215000a10365e7ull, 361, 174},
+      {QueryTopology::kChain, 20, 5, 0x40884a3bf432a418ull, 275, 141},
+      {QueryTopology::kChain, 50, -1, 0x4044c9a027b64930ull, 2401, 698},
+      {QueryTopology::kChain, 50, 5, 0x4086aaff6357af61ull, 1460, 353},
+      {QueryTopology::kChain, 100, -1, 0x403a91ebc2b28b76ull, 9801, 1231},
+      {QueryTopology::kChain, 100, 5, 0x4087a6a705bfb2afull, 5435, 660},
+      {QueryTopology::kStar, 20, -1, 0x403a8e15515f6bc5ull, 361, 891},
+      {QueryTopology::kStar, 20, 5, 0x4078876355bc3909ull, 275, 448},
+      {QueryTopology::kStar, 50, -1, 0x40215638952034e6ull, 2401, 5923},
+      {QueryTopology::kStar, 50, 5, 0x4082d0bc6d3229b2ull, 1460, 1243},
+      {QueryTopology::kStar, 100, -1, 0x4020734f88eeb9d5ull, 9801, 23030},
+      {QueryTopology::kStar, 100, 5, 0x407f95bcea2ffc39ull, 5435, 2524},
+      {QueryTopology::kCycle, 20, -1, 0x4021a03f6fae970eull, 361, 164},
+      {QueryTopology::kCycle, 20, 5, 0x40884a3bf42d1fb0ull, 275, 138},
+      {QueryTopology::kCycle, 50, -1, 0x4036c304b8b27144ull, 2401, 692},
+      {QueryTopology::kCycle, 50, 5, 0x4086aaff6357af61ull, 1460, 347},
+      {QueryTopology::kCycle, 100, -1, 0x403a91ebc2a84544ull, 9801, 1223},
+      {QueryTopology::kCycle, 100, 5, 0x4087a6a705bfb2afull, 5435, 659},
+      {QueryTopology::kClique, 20, -1, 0x4059f674a63ab0aeull, 361, 108},
+      {QueryTopology::kClique, 20, 5, 0x4077c51aa385314bull, 275, 88},
+      {QueryTopology::kClique, 50, -1, 0x4060c8d5acfefa77ull, 2401, 286},
+      {QueryTopology::kClique, 50, 5, 0x4082ba16fec0ac01ull, 1460, 178},
+      {QueryTopology::kClique, 100, -1, 0x405e0ebe4ddd07acull, 9801, 557},
+      {QueryTopology::kClique, 100, 5, 0x407f22fe848c61e1ull, 5435, 328},
+  };
+  for (const Pin& pin : pins) {
+    GeneratorOptions gen;
+    gen.topology = pin.topology;
+    gen.num_relations = pin.n;
+    Query query = GenerateRandomQuery(gen, 1);
+    OptimizerOptions options;
+    options.algorithm = Algorithm::kGoo;
+    options.goo_merge_budget = pin.merge_budget;
+    OptimizeResult r = Optimize(query, options);
+    ASSERT_NE(r.plan, nullptr);
+    SCOPED_TRACE(std::string(TopologyName(pin.topology)) + " n=" +
+                 std::to_string(pin.n) + " budget " +
+                 std::to_string(pin.merge_budget));
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.plan->cost), pin.cost_bits)
+        << r.plan->cost;
+    EXPECT_EQ(r.stats.ccp_count, pin.ccp_count);
+    EXPECT_EQ(r.stats.plans_built, pin.plans_built);
   }
 }
 
