@@ -38,11 +38,9 @@ ServiceStatus OptimizerService::OpenSession(const std::string& name,
   context.persistent_cache = persistent_cache_.get();
   context.drift_tolerance = options_.drift_tolerance;
   context.replan_pool = replan_pool_.get();
-  // dp_pool stays null: the request pool runs whole optimizations, and
-  // nesting DP workers onto it could deadlock a full pool against itself.
-  // Sessions opened over the wire always plan with dp_threads = 1
-  // (protocol.h); an in-process dp_threads > 1 session spins transient
-  // pools per run instead.
+  // dp_threads stays 1 and dp_pool null: the request pool runs whole
+  // optimizations, and nesting DP workers onto it could deadlock a full
+  // pool against itself.
   state->planner = PlannerSession(knobs, context);
 
   std::lock_guard<std::mutex> lock(mu_);

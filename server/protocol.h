@@ -131,11 +131,10 @@ DecodeStatus DecodeFrame(std::string_view buf, size_t max_frame_bytes,
 
 /// Knobs block: versioned so a server can refuse a skewed client cleanly.
 /// Encodes the PlannerKnobs fields (the plan-identity half of the
-/// configuration; execution context never crosses the wire — it is the
-/// server's own) except two, which a decoded session always holds at
-/// their defaults: `dp_threads` (every remote Optimize would otherwise
-/// spin up a transient pool of that many threads) and the test hook
-/// `goo_merge_budget`.
+/// configuration; execution context, the DP worker count included, never
+/// crosses the wire — it is the server's own) except the test hook
+/// `goo_merge_budget`, which a decoded session always holds at its
+/// default.
 void AppendKnobs(std::string* out, const PlannerKnobs& knobs);
 
 /// Decodes a knobs block; false on version skew, truncation, or

@@ -10,12 +10,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "conflict/conflict_detector.h"
 #include "hypergraph/dphyp_enumerator.h"
 #include "plangen/dp_combine.h"
 #include "plangen/dp_table.h"
-#include "plangen/parallel_dp.h"
 
 namespace eadp {
 
@@ -45,24 +43,6 @@ class LargeQueryRun {
     table_classes_ += dp.NumClasses();
     pruned_candidates_ += dp.pruned_candidates();
     pruned_existing_ += dp.pruned_existing();
-  }
-  void AbsorbParallelStats(const ParallelDpStats& stats, int workers) {
-    worker_plans_built_ += stats.worker_plans_built;
-    barrier_wait_ms_ += stats.barrier_wait_ms;
-    dp_workers_used_ = std::max(dp_workers_used_, workers);
-  }
-
-  /// Pool the parallel DP subproblems fan out on: the injected
-  /// OptimizerOptions::dp_pool, or a transient pool created on first use
-  /// (one per run, shared by every subproblem — dp_threads W needs W-1
-  /// slots since worker 0 is this thread).
-  ThreadPool* DpPool() {
-    if (options_.dp_pool != nullptr) return options_.dp_pool;
-    if (owned_pool_ == nullptr) {
-      owned_pool_ =
-          std::make_unique<ThreadPool>(std::max(options_.dp_threads, 2) - 1);
-    }
-    return owned_pool_.get();
   }
 
   /// Base-relation scans, one unit per relation.
@@ -96,13 +76,11 @@ class LargeQueryRun {
     result.plan = builder_.Materialize(Finalize(plan));
     result.stats.algorithm = used;
     result.stats.ccp_count = cuts_tried_;
-    result.stats.plans_built = builder_.plans_built() + worker_plans_built_;
+    result.stats.plans_built = builder_.plans_built();
     result.stats.table_plans = table_plans_;
     result.stats.table_classes = table_classes_;
     result.stats.pruned_candidates = pruned_candidates_;
     result.stats.pruned_existing = pruned_existing_;
-    result.stats.dp_barrier_wait_ms = barrier_wait_ms_;
-    result.stats.dp_workers = dp_workers_used_;
     result.stats.optimize_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_)
@@ -130,15 +108,11 @@ class LargeQueryRun {
   ConflictDetector conflicts_;
   PlanBuilder builder_;
   std::chrono::steady_clock::time_point start_;
-  std::unique_ptr<ThreadPool> owned_pool_;
   uint64_t cuts_tried_ = 0;
   size_t table_plans_ = 0;
   size_t table_classes_ = 0;
   uint64_t pruned_candidates_ = 0;
   uint64_t pruned_existing_ = 0;
-  uint64_t worker_plans_built_ = 0;
-  double barrier_wait_ms_ = 0;
-  int dp_workers_used_ = 1;
 };
 
 /// kGoo's merge loop: the unfinalized plan of the last remaining unit, or
@@ -283,16 +257,6 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
     return std::find(blocked.begin(), blocked.end(), rels) != blocked.end();
   };
 
-  // Groups below this size run their split DP sequentially even when
-  // dp_threads > 1: a default-sized block (k=6, ~365 splits) is µs-scale
-  // work that a fan-out only slows down, while ~3^g/2 splits at g >= 10
-  // (~30k pairs) amortize the per-level barriers. Subproblems past the
-  // gate route through ParallelDp.
-  constexpr int kParallelMinGroup = 10;
-  const int dp_workers = std::max(options.dp_threads, 1);
-  OptimizerOptions inner_options = options;
-  inner_options.algorithm = inner;
-
   while (units.size() > 1) {
     // Seed: the cheapest-cardinality unit not yet blocked — merging small
     // inputs first mirrors the greedy block selection of IDP1.
@@ -361,83 +325,42 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
     // Under a cost bound (large_query.h) a class can be empty for two
     // reasons: conflict rules block every split of it, or every plan it
     // would hold costs more than the bound. Only the first may send the
-    // run to the salvage below, so the sequential loop also tracks
+    // run to the salvage below, so a bounded run also tracks
     // reachability, which the bound does not change: a class is reachable
     // when some split of it has valid crossing operators and two
     // reachable sides — exactly the classes the unbounded run fills. A
     // split whose sides both hold plans learns that from Combine; only
     // splits with a side the bound emptied probe the crossing themselves.
-    const bool parallel = dp_workers > 1 && g >= kParallelMinGroup;
-    const bool pruned = bounded && !parallel;
     std::vector<char> reachable;
-    if (pruned) {
+    if (bounded) {
       reachable.assign(full + 1, 0);
       for (int b = 0; b < g; ++b) reachable[uint32_t{1} << b] = 1;
     }
-    if (parallel) {
-      // Bucket the splits by target relation count — unit relation sets
-      // are disjoint and non-empty, so a split's sources always sit at
-      // strictly smaller levels, the prerequisite of the parallel
-      // schedule. Per-class split order matches the sequential loop (all
-      // splits of one mask are contiguous and emitted in the same order),
-      // so the table contents are identical (see parallel_dp.h). The
-      // bound does not reach this path: its winners are the unbounded
-      // ones, checked against the bound below.
-      std::vector<std::vector<CcpPair>> levels(
-          static_cast<size_t>(query.NumRelations()) + 1);
-      for (uint32_t mask = 3; mask <= full; ++mask) {
-        if (std::popcount(mask) < 2) continue;
-        uint32_t lowest = mask & (~mask + 1);
-        auto& level =
-            levels[static_cast<size_t>(class_rels[mask].Count())];
-        for (uint32_t sub = (mask - 1) & mask; sub != 0;
-             sub = (sub - 1) & mask) {
-          if ((sub & lowest) == 0) continue;
-          uint32_t comp = mask ^ sub;
-          if (comp == 0) continue;
-          level.push_back({class_rels[sub], class_rels[comp]});
-        }
-      }
-      ParallelDp parallel(&query, &run.conflicts(), inner_options,
-                          &run.builder(), &dp, dp_workers, run.DpPool());
-      parallel.RunLevels(levels);
-      run.AbsorbParallelStats(parallel.stats(), dp_workers);
-      // Cut accounting matches the sequential loop's has-both-sources
-      // check: classes are complete when a split reads them, so checking
-      // the final table gives the same answer the loop-time check did.
-      for (const std::vector<CcpPair>& level : levels) {
-        for (const CcpPair& p : level) {
-          if (dp.Has(p.s1) && dp.Has(p.s2)) run.CountCut();
-        }
-      }
-    } else {
-      CcpCombiner combiner(&query, &run.builder(), &dp, inner,
-                           options.h2_tolerance, /*read_dp=*/nullptr,
-                           cost_bound);
-      for (uint32_t mask = 3; mask <= full; ++mask) {
-        if (std::popcount(mask) < 2) continue;
-        uint32_t lowest = mask & (~mask + 1);
-        for (uint32_t sub = (mask - 1) & mask; sub != 0;
-             sub = (sub - 1) & mask) {
-          // Each unordered split once: keep the side with the lowest unit.
-          if ((sub & lowest) == 0) continue;
-          uint32_t comp = mask ^ sub;
-          if (comp == 0) continue;
-          if (!dp.Has(class_rels[sub]) || !dp.Has(class_rels[comp])) {
-            if (pruned && !reachable[mask] && reachable[sub] &&
-                reachable[comp] &&
-                run.builder()
-                    .FindCrossingOps(class_rels[sub], class_rels[comp])
-                    .valid) {
-              reachable[mask] = 1;
-            }
-            continue;
-          }
-          run.CountCut();
-          if (combiner.Combine(class_rels[sub], class_rels[comp]) &&
-              pruned) {
+    CcpCombiner combiner(&query, &run.builder(), &dp, inner,
+                         options.h2_tolerance, /*read_dp=*/nullptr,
+                         cost_bound);
+    for (uint32_t mask = 3; mask <= full; ++mask) {
+      if (std::popcount(mask) < 2) continue;
+      uint32_t lowest = mask & (~mask + 1);
+      for (uint32_t sub = (mask - 1) & mask; sub != 0;
+           sub = (sub - 1) & mask) {
+        // Each unordered split once: keep the side with the lowest unit.
+        if ((sub & lowest) == 0) continue;
+        uint32_t comp = mask ^ sub;
+        if (comp == 0) continue;
+        if (!dp.Has(class_rels[sub]) || !dp.Has(class_rels[comp])) {
+          if (bounded && !reachable[mask] && reachable[sub] &&
+              reachable[comp] &&
+              run.builder()
+                  .FindCrossingOps(class_rels[sub], class_rels[comp])
+                  .valid) {
             reachable[mask] = 1;
           }
+          continue;
+        }
+        run.CountCut();
+        if (combiner.Combine(class_rels[sub], class_rels[comp]) && bounded) {
+          reachable[mask] = 1;
         }
       }
     }
@@ -453,7 +376,7 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
       for (uint32_t mask = 3; mask <= full; ++mask) {
         int count = std::popcount(mask);
         if (count < 2 || count < best_count) continue;
-        if (pruned ? !reachable[mask] : !dp.Has(class_rels[mask])) continue;
+        if (bounded ? !reachable[mask] : !dp.Has(class_rels[mask])) continue;
         PlanPtr p = dp.Best(class_rels[mask]);
         if (count > best_count ||
             (p != nullptr && (win == nullptr || p->cost < win->cost))) {

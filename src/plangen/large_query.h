@@ -28,9 +28,11 @@
 //     policies as the exhaustive generators (default kEaPrune, i.e.
 //     dominance-pruned plan lists) — and replaces the group by the winning
 //     subplan. Repeating until one unit remains stitches the winners into
-//     a complete plan. Each subproblem uses a fresh DpTable; losing
-//     subproblem plans are dropped wholesale when it dies. See
-//     docs/DESIGN.md §8 for the stitching invariants.
+//     a complete plan. Each subproblem uses a fresh DpTable and runs one
+//     sequential split loop on the calling thread, whatever
+//     PlannerContext::dp_threads says; losing subproblem plans are
+//     dropped wholesale when it dies. See docs/DESIGN.md §8 for the
+//     stitching invariants.
 //
 //   OptimizeOriginal — the plan of the input operator tree itself (no
 //     reordering, no eager aggregation, single top grouping). Cheap,

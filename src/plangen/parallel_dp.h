@@ -33,11 +33,10 @@
 // (PlanArena::AdoptSibling), so the single shared_ptr handed to
 // OptimizeResult keeps cross-arena plans alive unchanged.
 //
-// Both exact-DP drivers use this scheduler: the exhaustive generator
-// (plangen.cc) over the DPhyp levels of the whole query, and the kIdp
-// subproblems (large_query.cc) over their unit-subset splits bucketed by
-// relation count — the same source-classes-strictly-smaller argument
-// holds there because units are disjoint and non-empty.
+// The exhaustive generator (plangen.cc) is the scheduler's one driver,
+// over the DPhyp levels of the whole query. kIdp's subproblems run their
+// split loop sequentially (large_query.h): a default-sized block is
+// microsecond-scale work a fan-out only slows down.
 
 #ifndef EADP_PLANGEN_PARALLEL_DP_H_
 #define EADP_PLANGEN_PARALLEL_DP_H_

@@ -33,7 +33,7 @@ void FoldOptionsIntoFingerprint(const PlannerKnobs& knobs,
   // this assert. Every knob is plan identity by definition of the struct
   // (execution context belongs in PlannerContext instead), so the fix is
   // always: fold the new field below, then update the expected size.
-  static_assert(sizeof(PlannerKnobs) == 48,
+  static_assert(sizeof(PlannerKnobs) == 40,
                 "PlannerKnobs changed: fold the new knob into the cache "
                 "key below, then update this size");
   CanonicalWriter w(&fp->canonical);
@@ -50,10 +50,6 @@ void FoldOptionsIntoFingerprint(const PlannerKnobs& knobs,
   w.I32(knobs.idp_block_size);
   w.U8(static_cast<uint8_t>(knobs.idp_inner));
   w.I32(knobs.goo_merge_budget);
-  // dp_threads is folded even though parallel plans encode to the same
-  // bytes as sequential ones: dropping it would change every key already
-  // on disk.
-  w.I32(knobs.dp_threads);
 }
 
 }  // namespace
@@ -216,14 +212,6 @@ size_t PlanCache::size() const {
   return n;
 }
 
-QueryFingerprint PlanCacheKey(const Query& query,
-                              const PlannerKnobs& knobs) {
-  QueryFingerprint fp = FingerprintQueryUnhashed(query);
-  FoldOptionsIntoFingerprint(knobs, &fp);
-  RehashFingerprint(&fp);
-  return fp;
-}
-
 PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
                                     const PlannerKnobs& knobs) {
   PlanCacheSplitKey key;
@@ -244,17 +232,15 @@ namespace {
 /// when background re-planning is unavailable and the caller must re-plan
 /// inline.
 ///
-/// The task snapshots the query by value (QuerySpec::FromQuery) and
-/// copies `plan_fresh`: the caller's stack frame is long gone when the
+/// The task snapshots the query and the options by value
+/// (QuerySpec::FromQuery): the caller's stack frame is long gone when the
 /// task runs. Lifetime contract (plangen.h): the pool must be destroyed
 /// before the caches, never the reverse — the pool's destructor drains
 /// queued tasks, each of which touches both caches.
 bool StartBackgroundReplan(
     const Query& query, const OptimizerOptions& options,
     const QueryFingerprint& fp, const StatsOverlay& overlay,
-    const PlanCache::Handle& entry, double cost_bound,
-    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
-                                       double)>& plan_fresh) {
+    const PlanCache::Handle& entry, double cost_bound) {
   if (options.replan_pool == nullptr || options.plan_cache == nullptr ||
       entry == nullptr) {
     return false;
@@ -269,20 +255,16 @@ bool StartBackgroundReplan(
     return true;
   }
   auto snapshot = std::make_shared<QuerySpec>(QuerySpec::FromQuery(query));
-  OptimizerOptions uncached = options;
-  uncached.plan_cache = nullptr;
-  uncached.persistent_cache = nullptr;
-  uncached.replan_pool = nullptr;
-  PlanCache* l1 = options.plan_cache;
-  PersistentPlanCache* l2 = options.persistent_cache;
   options.replan_pool->Submit(
-      [snapshot, uncached, l1, l2, fp, overlay, entry, cost_bound,
-       plan_fresh] {
+      [snapshot, options, fp, overlay, entry, cost_bound] {
         Query q = snapshot->ToQuery();
-        OptimizeResult fresh = plan_fresh(q, uncached, cost_bound);
+        OptimizeResult fresh =
+            OptimizeAdaptiveUncached(q, options, cost_bound);
         if (fresh.plan != nullptr) {
-          if (l2 != nullptr) l2->Put(fp, overlay, fresh);
-          l1->Refresh(fp, overlay, std::move(fresh));
+          if (options.persistent_cache != nullptr) {
+            options.persistent_cache->Put(fp, overlay, fresh);
+          }
+          options.plan_cache->Refresh(fp, overlay, std::move(fresh));
         }
         // Clear the flag on the (now unlinked) stale entry last: should
         // the Refresh have raced an eviction, a later drifted hit on a
@@ -296,9 +278,7 @@ bool StartBackgroundReplan(
 
 OptimizeResult OptimizeThroughCache(
     const Query& query, const PlanCacheSplitKey& key,
-    const OptimizerOptions& options,
-    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
-                                       double)>& plan_fresh) {
+    const OptimizerOptions& options) {
   auto start = std::chrono::steady_clock::now();
   auto elapsed_ms = [&start] {
     return std::chrono::duration<double, std::milli>(
@@ -343,7 +323,7 @@ OptimizeResult OptimizeThroughCache(
     bool background =
         !within &&
         StartBackgroundReplan(query, options, fp, key.overlay, entry,
-                              replan_bound, plan_fresh);
+                              replan_bound);
     if (options.plan_cache != nullptr) {
       options.plan_cache->RecordDriftOutcome(within, background);
     }
@@ -405,11 +385,8 @@ OptimizeResult OptimizeThroughCache(
       }
     }
   }
-  OptimizerOptions uncached = options;
-  uncached.plan_cache = nullptr;
-  uncached.persistent_cache = nullptr;
-  uncached.replan_pool = nullptr;
-  OptimizeResult result = plan_fresh(query, uncached, replan_bound);
+  OptimizeResult result =
+      OptimizeAdaptiveUncached(query, options, replan_bound);
   // Unsatisfiable queries stay uncached: a null plan carries no arena to
   // keep alive and costs nothing to rediscover.
   if (result.plan != nullptr) {

@@ -46,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -228,22 +227,15 @@ class PlanCache {
   std::atomic<uint64_t> refreshes_{0};
 };
 
-/// The exact fingerprint OptimizeThroughCache keys its probes with: the
-/// canonical query serialization plus the complete PlannerKnobs (the
-/// plan-identity half of the configuration; an OptimizerOptions binds
-/// directly via its base). Execution context (PlannerContext) is not a
-/// parameter — by construction the key cannot depend on cache pointers,
-/// pools, or serving policy. Exposed so test drivers (the mutation
-/// fuzzer's cache-cross-serving oracle) can probe and reason about the
-/// cache with the production key rather than re-deriving it.
-QueryFingerprint PlanCacheKey(const Query& query, const PlannerKnobs& knobs);
-
-/// The two-layer cache key: `structural` is the stats-insensitive
-/// fingerprint with the complete PlannerKnobs folded in (what the
-/// drift-aware facade keys entries on), `overlay` carries the current
-/// statistics separately. ComposeFingerprint(key) reproduces the byte
-/// content of PlanCacheKey up to layer ordering — the two are distinct
-/// key spaces and must not be mixed within one cache.
+/// The cache key OptimizeThroughCache probes both tiers with: `structural`
+/// is the stats-insensitive query fingerprint with the complete
+/// PlannerKnobs folded in (the plan-identity half of the configuration; an
+/// OptimizerOptions binds directly via its base), `overlay` carries the
+/// current statistics separately. Execution context (PlannerContext) is
+/// not a parameter — by construction the key cannot depend on cache
+/// pointers, pools, worker counts or serving policy. Exposed so callers
+/// that probe repeatedly (the service's per-spec-line memo) and test
+/// drivers key the cache exactly as the facade does.
 struct PlanCacheSplitKey {
   QueryFingerprint structural;
   StatsOverlay overlay;
@@ -265,10 +257,10 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 /// memory cache first (stats.cache_tier = 1 on a hit), then the
 /// persistent disk tier (plangen/persistent_cache.h; a hit decodes the
 /// stored blob, is promoted into the memory tier, and reports
-/// cache_tier = 2). On a full miss it plans fresh via `plan_fresh` —
-/// called with both cache pointers cleared so inner facade calls don't
-/// re-probe — writes any satisfiable result behind to the disk tier and
-/// inserts it into the memory tier. Hits of either tier set stats.cache_hit with optimize_ms
+/// cache_tier = 2). On a full miss it plans fresh with
+/// OptimizeAdaptiveUncached (which never probes a cache), writes any
+/// satisfiable result behind to the disk tier and inserts it into the
+/// memory tier. Hits of either tier set stats.cache_hit with optimize_ms
 /// = probe (+decode) time; the caller's fingerprint is not in it.
 /// Precondition: at least one of options.plan_cache /
 /// options.persistent_cache is non-null.
@@ -289,12 +281,10 @@ PlanCacheSplitKey PlanCacheKeySplit(const Query& query,
 /// Bounded re-plan (DESIGN.md §14): a drifted hit's re-costed cost is the
 /// cost of a valid complete plan under the current statistics, so the
 /// re-plan that follows — inline or background — receives it as
-/// `plan_fresh`'s cost bound. Misses plan with kNoCostBound.
-OptimizeResult OptimizeThroughCache(
-    const Query& query, const PlanCacheSplitKey& key,
-    const OptimizerOptions& options,
-    const std::function<OptimizeResult(const Query&, const OptimizerOptions&,
-                                       double cost_bound)>& plan_fresh);
+/// OptimizeAdaptiveUncached's cost bound. Misses plan with kNoCostBound.
+OptimizeResult OptimizeThroughCache(const Query& query,
+                                    const PlanCacheSplitKey& key,
+                                    const OptimizerOptions& options);
 
 }  // namespace eadp
 

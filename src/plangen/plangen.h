@@ -127,23 +127,6 @@ struct PlannerKnobs {
   /// through this cap instead: it funnels a genuinely partially-merged
   /// state through the very same branch.
   int goo_merge_budget = -1;
-
-  // ---- Intra-query parallel DP (plangen/parallel_dp.h) ----
-
-  /// DP workers for one exhaustive enumeration (and for kIdp's bounded
-  /// subproblems): csg-cmp-pairs are processed level-by-level over the
-  /// subset size |S1 ∪ S2|, spread across this many workers within each
-  /// level. 1 (the default) runs the plain sequential DP loop — small
-  /// queries pay nothing. Any worker count produces the sequential run's
-  /// plan byte for byte (identical DP-table contents by construction,
-  /// generated columns named once by the primary builder; pinned by
-  /// parallel_dp_test). It is still folded into the plan-cache
-  /// fingerprint: dropping it would change every cache key already on
-  /// disk. The pool the workers run on is execution context
-  /// (PlannerContext::dp_pool), not plan identity. The service's wire
-  /// codec does not carry it (server/protocol.h): remote sessions plan
-  /// sequentially.
-  int dp_threads = 1;
 };
 
 /// The execution-context half of the optimizer configuration: where the
@@ -179,10 +162,25 @@ struct PlannerContext {
   /// optimization calls.
   PersistentPlanCache* persistent_cache = nullptr;
 
+  // ---- Intra-query parallel DP (plangen/parallel_dp.h) ----
+
+  /// DP workers for one exhaustive enumeration: csg-cmp-pairs are
+  /// processed level-by-level over the subset size |S1 ∪ S2|, spread
+  /// across this many workers within each level. 1 (the default) runs the
+  /// plain sequential DP loop — small queries pay nothing. kGoo and kIdp
+  /// always run on the calling thread. Any worker count produces the
+  /// sequential run's plan byte for byte (identical DP-table contents by
+  /// construction, generated columns named once by the primary builder;
+  /// pinned by parallel_dp_test), so the worker count is execution
+  /// context: sessions that differ only in it share cache entries. The
+  /// service's wire codec does not carry it (server/protocol.h): remote
+  /// sessions plan sequentially.
+  int dp_threads = 1;
+
   /// Pool the extra DP workers run on (worker 0 is the calling thread, so
-  /// PlannerKnobs::dp_threads W needs W-1 pool slots). Borrowed, not
-  /// owned; may be shared with OptimizeBatch. When null and dp_threads > 1,
-  /// Optimize spins up a transient pool for the run.
+  /// dp_threads W needs W-1 pool slots). Borrowed, not owned; may be
+  /// shared with OptimizeBatch. When null and dp_threads > 1, Optimize
+  /// spins up a transient pool for the run.
   ThreadPool* dp_pool = nullptr;
 
   // ---- Incremental re-optimization under statistics drift ----
@@ -269,8 +267,8 @@ struct OptimizeStats {
   /// Milliseconds the coordinating thread spent blocked on peer DP workers
   /// at subset-size barriers (0 when the DP ran sequentially).
   double dp_barrier_wait_ms = 0;
-  /// DP workers the run was configured with (clamped OptimizerOptions::
-  /// dp_threads; 1 = sequential).
+  /// DP workers the exhaustive enumeration ran with (clamped
+  /// PlannerContext::dp_threads; 1 = sequential, always 1 for kGoo/kIdp).
   int dp_workers = 1;
 };
 
@@ -313,10 +311,9 @@ OptimizeResult Optimize(const Query& query, const OptimizerOptions& options,
 /// cannot combine). `result.stats.algorithm` records the strategy that
 /// won; its counters and optimize_ms cover both runs. Any cache/replan
 /// pointers in `options` are ignored, the query is always planned. This is
-/// the `plan_fresh` callback PlannerSession::OptimizeImpl hands to
-/// OptimizeThroughCache (the one probe/populate path); exposed so other
-/// uncached callers (background re-plans, differential references) can
-/// name the planning step without shedding the context fields first.
+/// the planning step of PlannerSession without caches and of
+/// OptimizeThroughCache's misses and re-plans; exposed so differential
+/// references can name it without shedding the context fields first.
 ///
 /// Every plan is seeded with GOO's cost (DESIGN.md §14, "seeded bound"),
 /// and the plan stays byte-identical to the unseeded facade's:

@@ -50,44 +50,30 @@ BatchStats AggregateStats(std::vector<double> latencies, double wall_ms,
 }  // namespace
 
 OptimizeResult PlannerSession::OptimizeImpl(
-    const Query& query, const PlanCacheSplitKey* key,
-    const PlanFreshFn& plan_fresh) const {
+    const Query& query, const PlanCacheSplitKey* key) const {
   if (options_.plan_cache == nullptr && options_.persistent_cache == nullptr) {
-    return plan_fresh(query, options_, kNoCostBound);
+    return OptimizeAdaptiveUncached(query, options_);
   }
   // The one probe/populate path: tiered lookup, drift-band serving,
-  // background re-plans; plan_fresh runs on a miss with the context's
-  // cache pointers cleared so inner facade calls can't re-probe.
-  if (key != nullptr) {
-    return OptimizeThroughCache(query, *key, options_, plan_fresh);
-  }
+  // background re-plans.
+  if (key != nullptr) return OptimizeThroughCache(query, *key, options_);
   // Self-keyed: the fingerprint is part of this call's work, so a hit's
   // optimize_ms includes it.
   Clock::time_point start = Clock::now();
   PlanCacheSplitKey own = PlanCacheKeySplit(query, options_);
   double fingerprint_ms = MsSince(start);
-  OptimizeResult result =
-      OptimizeThroughCache(query, own, options_, plan_fresh);
+  OptimizeResult result = OptimizeThroughCache(query, own, options_);
   if (result.stats.cache_hit) result.stats.optimize_ms += fingerprint_ms;
   return result;
 }
 
-namespace {
-
-OptimizeResult PlanFresh(const Query& query, const OptimizerOptions& options,
-                         double cost_bound) {
-  return OptimizeAdaptiveUncached(query, options, cost_bound);
-}
-
-}  // namespace
-
 OptimizeResult PlannerSession::Optimize(const Query& query) const {
-  return OptimizeImpl(query, nullptr, PlanFresh);
+  return OptimizeImpl(query, nullptr);
 }
 
 OptimizeResult PlannerSession::Optimize(const Query& query,
                                         const PlanCacheSplitKey& key) const {
-  return OptimizeImpl(query, &key, PlanFresh);
+  return OptimizeImpl(query, &key);
 }
 
 BatchResult PlannerSession::OptimizeBatch(std::span<const Query> queries,

@@ -16,12 +16,13 @@
 //
 // The split the session API rests on (plangen/plangen.h): PlannerKnobs is
 // plan identity (folded into the cache key wholesale), PlannerContext is
-// execution context (caches, pools, serving policy — never folded). A
-// session owns one composed OptimizerOptions; knobs() and context() expose
-// the halves. Sessions are cheap value objects: copying one copies the
-// configuration, not the caches (context pointers are borrowed, exactly as
-// in OptimizerOptions — the caches/pools must outlive every session using
-// them, and pools must be destroyed before the caches they refresh).
+// execution context (caches, pools, DP worker count, serving policy —
+// never folded). A session owns one composed OptimizerOptions; knobs()
+// and context() expose the halves. Sessions are cheap value objects:
+// copying one copies the configuration, not the caches (context pointers
+// are borrowed, exactly as in OptimizerOptions — the caches/pools must
+// outlive every session using them, and pools must be destroyed before
+// the caches they refresh).
 //
 // Concurrency model (DESIGN.md §9): the unit of parallelism is one whole
 // optimization run. Every run owns a private PlanArena and builds all of
@@ -34,7 +35,6 @@
 #ifndef EADP_PLANGEN_SESSION_H_
 #define EADP_PLANGEN_SESSION_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -120,18 +120,13 @@ class PlannerSession {
                             ThreadPool* pool) const;
 
  private:
-  /// Plans one query uncached under a cost bound (OptimizeThroughCache).
-  using PlanFreshFn = std::function<OptimizeResult(
-      const Query&, const OptimizerOptions&, double cost_bound)>;
-
   /// THE probe path: every session entry point (and so every facade call
   /// in the codebase) goes through here. With any cache tier attached,
-  /// delegates to OptimizeThroughCache (which calls `plan_fresh` with the
-  /// context's cache pointers cleared on a miss) under `key`, or under
+  /// delegates to OptimizeThroughCache under `key`, or under
   /// PlanCacheKeySplit(query, knobs()) when `key` is null; without one,
-  /// plans fresh directly.
-  OptimizeResult OptimizeImpl(const Query& query, const PlanCacheSplitKey* key,
-                              const PlanFreshFn& plan_fresh) const;
+  /// plans fresh with OptimizeAdaptiveUncached.
+  OptimizeResult OptimizeImpl(const Query& query,
+                              const PlanCacheSplitKey* key) const;
 
   OptimizerOptions options_;
 };

@@ -200,15 +200,10 @@ QueryFingerprint ComposeFingerprint(const QueryFingerprint& structural,
 }
 
 QueryFingerprint FingerprintQuery(const Query& query) {
-  QueryFingerprint fp = FingerprintQueryUnhashed(query);
-  RehashFingerprint(&fp);
-  return fp;
-}
-
-QueryFingerprint FingerprintQueryUnhashed(const Query& query) {
   SplitFingerprint split = FingerprintQuerySplitUnhashed(query);
   QueryFingerprint fp = std::move(split.structural);
   AppendOverlay(split.overlay, &fp.canonical);
+  RehashFingerprint(&fp);
   return fp;
 }
 

@@ -192,12 +192,6 @@ QueryFingerprint ComposeFingerprint(const QueryFingerprint& structural,
 /// changes still move this fingerprint.
 QueryFingerprint FingerprintQuery(const Query& query);
 
-/// As FingerprintQuery but leaves hash/hash2 at 0: for callers that
-/// append their own suffix to `canonical` (the plan cache's
-/// OptimizerOptions block) before hashing once via RehashFingerprint —
-/// hashing the bytes twice would double the cost of every probe.
-QueryFingerprint FingerprintQueryUnhashed(const Query& query);
-
 /// (Re)computes hash/hash2 from the current canonical bytes. The single
 /// place the fingerprint hash seeds live.
 void RehashFingerprint(QueryFingerprint* fp);

@@ -138,16 +138,22 @@ Query NthQuery(int i) {
   return GenerateRandomQuery(gen, /*seed=*/static_cast<uint64_t>(i));
 }
 
+/// A planned query under the key the facade files it under in the disk
+/// tier: the structural fingerprint with the knobs folded in, plus the
+/// statistics overlay stored beside it.
 struct PlannedQuery {
   Query query;
   QueryFingerprint fp;
+  StatsOverlay overlay;
   OptimizeResult result;
 };
 
 PlannedQuery PlanNth(int i) {
   OptimizerOptions options;
-  PlannedQuery p{NthQuery(i), {}, {}};
-  p.fp = PlanCacheKey(p.query, options);
+  PlannedQuery p{NthQuery(i), {}, {}, {}};
+  PlanCacheSplitKey key = PlanCacheKeySplit(p.query, options);
+  p.fp = std::move(key.structural);
+  p.overlay = std::move(key.overlay);
   p.result = PlannerSession(options).Optimize(p.query);
   EXPECT_NE(p.result.plan, nullptr);
   return p;
@@ -186,7 +192,7 @@ TEST(PersistentCache, RoundTripAndReopen) {
 
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
     PersistentCacheStats s = cache->Snapshot();
     EXPECT_EQ(s.puts, 6u);
     EXPECT_EQ(s.records, 6u);
@@ -220,7 +226,7 @@ TEST(PersistentCache, WriteBehindFlushIsDurable) {
   for (int i = 0; i < 4; ++i) planned.push_back(PlanNth(i));
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
     cache->Flush();  // barrier: everything accepted so far is on disk
     EXPECT_EQ(cache->Snapshot().appended_records, 4u);
     for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
@@ -238,8 +244,8 @@ TEST(PersistentCache, DuplicatePutsSuppressed) {
 
   PlannedQuery p = PlanNth(0);
   auto cache = OpenOrDie(opts);
-  cache->Put(p.fp, p.result);
-  cache->Put(p.fp, p.result);
+  cache->Put(p.fp, p.overlay, p.result);
+  cache->Put(p.fp, p.overlay, p.result);
   PersistentCacheStats s = cache->Snapshot();
   EXPECT_EQ(s.puts, 1u);
   EXPECT_EQ(s.duplicate_puts, 1u);
@@ -280,7 +286,7 @@ TEST(PersistentCache, SegmentRollover) {
   for (int i = 0; i < 5; ++i) planned.push_back(PlanNth(i));
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
     EXPECT_GE(cache->Snapshot().segments, 5u);
   }
   EXPECT_GE(ListSegments(dir.path()).size(), 5u);
@@ -300,7 +306,7 @@ TEST(PersistentCache, WarmGetsServeViaMmap) {
   for (int i = 0; i < 5; ++i) planned.push_back(PlanNth(i));
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
     // Rollover seals (and maps) every segment but the active one, so the
     // first warm pass already serves the sealed records from the mapping.
     for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
@@ -338,7 +344,7 @@ TEST(PersistentCache, TornTailGarbageTruncatedOnReopen) {
   for (int i = 0; i < 3; ++i) planned.push_back(PlanNth(i));
   { // populate and close cleanly
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
   }
   std::vector<std::string> segments = ListSegments(dir.path());
   ASSERT_EQ(segments.size(), 1u);
@@ -367,7 +373,7 @@ TEST(PersistentCache, TornTailMidRecordDropsOnlyTornRecord) {
   for (int i = 0; i < 3; ++i) planned.push_back(PlanNth(i));
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
   }
   std::vector<std::string> segments = ListSegments(dir.path());
   ASSERT_EQ(segments.size(), 1u);
@@ -388,7 +394,7 @@ TEST(PersistentCache, TornTailMidRecordDropsOnlyTornRecord) {
   EXPECT_FALSE(cache->Get(planned[2].fp, &out));  // the torn record
 
   // The truncated log is a clean log: appends resume.
-  cache->Put(planned[2].fp, planned[2].result);
+  cache->Put(planned[2].fp, planned[2].overlay, planned[2].result);
   ExpectServes(cache.get(), planned[2]);
 }
 
@@ -403,7 +409,7 @@ TEST(PersistentCache, MidHistoryCorruptionServesPrefixAndKeepsAppending) {
   for (int i = 0; i < 4; ++i) planned.push_back(PlanNth(i));
   {
     auto cache = OpenOrDie(opts);
-    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.result);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
   }
   std::vector<std::string> segments = ListSegments(dir.path());
   ASSERT_GE(segments.size(), 4u);
@@ -427,7 +433,7 @@ TEST(PersistentCache, MidHistoryCorruptionServesPrefixAndKeepsAppending) {
   ExpectServes(cache.get(), planned[3]);
 
   // The tier still accepts new work after losing history.
-  cache->Put(planned[1].fp, planned[1].result);
+  cache->Put(planned[1].fp, planned[1].overlay, planned[1].result);
   ExpectServes(cache.get(), planned[1]);
 }
 
@@ -459,7 +465,7 @@ TEST(PersistentCache, VersionSkewedSegmentSkippedAndPreserved) {
     EXPECT_EQ(s.skipped_segments, 1u);
     EXPECT_EQ(s.records, 0u);
     // Appends go to a NEW segment; the foreign one is never written.
-    cache->Put(p.fp, p.result);
+    cache->Put(p.fp, p.overlay, p.result);
     ExpectServes(cache.get(), p);
   }
   // The skewed segment is byte-identical: never parsed, truncated, or
@@ -500,7 +506,7 @@ TEST(PersistentCache, TwoProcessWriterThenColdReader) {
       for (int i = 0; cache != nullptr && i < 3; ++i) {
         PlannedQuery p = PlanNth(i);
         if (p.result.plan == nullptr) status = 3;
-        cache->Put(p.fp, p.result);
+        cache->Put(p.fp, p.overlay, p.result);
       }
     }
     _exit(status);
@@ -613,7 +619,7 @@ TEST(PersistentCache, ConcurrentGetPut) {
         rng = rng * 6364136223846793005ull + 1442695040888963407ull;
         const PlannedQuery& p = planned[(rng >> 33) % planned.size()];
         if ((rng >> 16) & 1) {
-          cache->Put(p.fp, p.result);
+          cache->Put(p.fp, p.overlay, p.result);
         } else {
           OptimizeResult out;
           if (cache->Get(p.fp, &out) && out.plan != nullptr) {

@@ -6,8 +6,10 @@
 #include "plangen/plan_cache.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "plangen/plan_validator.h"
 #include "plangen/session.h"
@@ -295,6 +297,57 @@ TEST(PlanCache, MixedOptionConfigurationsNeverCrossServe) {
   EXPECT_EQ(warm_default.plan->cost, want_default);
   EXPECT_EQ(warm_baseline.plan->cost, want_baseline);
   EXPECT_EQ(cache.Snapshot().entries, 2u);
+}
+
+TEST(PlanCache, EveryKnobSplitsTheKeyAndNoContextFieldDoes) {
+  // The fold in FoldOptionsIntoFingerprint must cover every PlannerKnobs
+  // field: its sizeof tripwire catches an added field, this catches one
+  // dropped from the fold. Execution context — the DP worker count and
+  // pool, cache pointers, serving policy — must leave the key alone.
+  static_assert(sizeof(PlannerKnobs) == 40,
+                "PlannerKnobs changed: add the new knob to the list below");
+  using Mutation = void (*)(PlannerKnobs*);
+  const std::vector<std::pair<const char*, Mutation>> knobs = {
+      {"algorithm", [](PlannerKnobs* k) { k->algorithm = Algorithm::kH2; }},
+      {"h2_tolerance", [](PlannerKnobs* k) { k->h2_tolerance = 1.5; }},
+      {"builder.top_grouping_elimination",
+       [](PlannerKnobs* k) { k->builder.top_grouping_elimination = false; }},
+      {"builder.track_fds",
+       [](PlannerKnobs* k) { k->builder.track_fds = true; }},
+      {"prune_without_keys",
+       [](PlannerKnobs* k) { k->prune_without_keys = true; }},
+      {"prune_without_cardinality",
+       [](PlannerKnobs* k) { k->prune_without_cardinality = true; }},
+      {"full_fd_dominance",
+       [](PlannerKnobs* k) { k->full_fd_dominance = true; }},
+      {"adaptive_exact_relations",
+       [](PlannerKnobs* k) { k->adaptive_exact_relations = 9; }},
+      {"idp_block_size", [](PlannerKnobs* k) { k->idp_block_size = 4; }},
+      {"idp_inner", [](PlannerKnobs* k) { k->idp_inner = Algorithm::kEaAll; }},
+      {"goo_merge_budget", [](PlannerKnobs* k) { k->goo_merge_budget = 7; }},
+  };
+  Query q = CorpusQuery(6, 3);
+  const PlanCacheSplitKey base = PlanCacheKeySplit(q, PlannerKnobs{});
+  for (const auto& [name, mutate] : knobs) {
+    PlannerKnobs changed;
+    mutate(&changed);
+    PlanCacheSplitKey key = PlanCacheKeySplit(q, changed);
+    EXPECT_NE(key.structural.canonical, base.structural.canonical) << name;
+    EXPECT_TRUE(SameStats(key.overlay, base.overlay)) << name;
+  }
+
+  PlanCache cache;
+  ThreadPool pool(1);
+  OptimizerOptions context;
+  context.dp_threads = 4;
+  context.dp_pool = &pool;
+  context.plan_cache = &cache;
+  context.drift_tolerance = 0.5;
+  context.replan_pool = &pool;
+  PlanCacheSplitKey key = PlanCacheKeySplit(q, context);
+  EXPECT_EQ(key.structural.canonical, base.structural.canonical);
+  EXPECT_EQ(key.structural.hash, base.structural.hash);
+  EXPECT_EQ(key.structural.hash2, base.structural.hash2);
 }
 
 TEST(PlanCache, UnsatisfiableResultsAreNotCached) {

@@ -220,24 +220,15 @@ TEST(SeededBound, IdpBoundedByItsOwnCostKeepsItsPlan) {
   // byte (ties are kept, since PickAdaptiveWinner gives them to kIdp), and
   // the next double below it makes the run give up. The random trees here
   // salvage under the bound, where reachable classes the bound emptied
-  // must not be mistaken for conflict-blocked ones. The parallel
-  // subproblem path (dp_threads > 1, groups of >= 10 units) runs
-  // unbounded and only checks its winners.
-  ThreadPool dp_pool(3);
+  // must not be mistaken for conflict-blocked ones.
   OptimizerOptions h1_inner;
   h1_inner.idp_inner = Algorithm::kH1;
-  OptimizerOptions parallel;
-  parallel.idp_block_size = 8;
-  parallel.dp_threads = 4;
-  parallel.dp_pool = &dp_pool;
   int planned = 0;
   for (const Labeled& c : LargeCorpus()) {
     if (c.query.NumRelations() > 20) continue;
-    for (const OptimizerOptions& options :
-         {OptimizerOptions{}, h1_inner, parallel}) {
-      std::string label = c.label + " inner=" +
-                          AlgorithmName(options.idp_inner) +
-                          " threads=" + std::to_string(options.dp_threads);
+    for (const OptimizerOptions& options : {OptimizerOptions{}, h1_inner}) {
+      std::string label =
+          c.label + " inner=" + AlgorithmName(options.idp_inner);
       OptimizeResult unbounded = OptimizeIdp(c.query, options);
       if (unbounded.plan == nullptr) {
         // Conflict-blocked everywhere: any bound gives up too.

@@ -122,7 +122,6 @@ TEST(ServerFuzz, RequestDecodersAreTotal) {
       ASSERT_FALSE(open.session.empty());
       ASSERT_LE(open.session.size(), 256u);
       // Not on the wire: every decoded session plans with the defaults.
-      ASSERT_EQ(open.knobs.dp_threads, 1);
       ASSERT_EQ(open.knobs.goo_merge_budget, -1);
     }
     SetStatsRequest set_stats;

@@ -147,7 +147,6 @@ TEST(ServerProtocol, KnobsRoundTrip) {
   knobs.idp_block_size = 4;
   knobs.idp_inner = Algorithm::kEaAll;
   knobs.goo_merge_budget = 7;
-  knobs.dp_threads = 3;
 
   std::string bytes;
   AppendKnobs(&bytes, knobs);
@@ -167,7 +166,6 @@ TEST(ServerProtocol, KnobsRoundTrip) {
   EXPECT_EQ(decoded.idp_inner, knobs.idp_inner);
   // Not on the wire: a remote session plans with the defaults.
   EXPECT_EQ(decoded.goo_merge_budget, PlannerKnobs{}.goo_merge_budget);
-  EXPECT_EQ(decoded.dp_threads, PlannerKnobs{}.dp_threads);
 }
 
 TEST(ServerProtocol, KnobsRejectTheVersionOneLayout) {
@@ -195,9 +193,9 @@ TEST(ServerProtocol, KnobsRejectHostileValues) {
     mutate(&bytes);
     BinReader reader(bytes);
     PlannerKnobs sink;
-    sink.dp_threads = -123;  // canary: untouched on failure
+    sink.idp_block_size = -123;  // canary: untouched on failure
     EXPECT_FALSE(ReadKnobs(&reader, &sink));
-    EXPECT_EQ(sink.dp_threads, -123);
+    EXPECT_EQ(sink.idp_block_size, -123);
   };
   reject([](std::string* b) { (*b)[0] = 99; });          // version skew
   reject([](std::string* b) { (*b)[1] = 42; });          // bad algorithm
