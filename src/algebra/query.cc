@@ -16,6 +16,19 @@ Query Query::FromTree(Catalog catalog, std::unique_ptr<OpTreeNode> root,
   q.root_ = std::move(root);
   q.Flatten(q.root_.get());
 
+  // Footprints: ops and attribute ownership are fixed from here on.
+  q.footprints_.reserve(q.ops_.size());
+  for (const QueryOp& op : q.ops_) {
+    OpFootprint f;
+    f.attrs = op.predicate.ReferencedAttrs();
+    for (const AggregateFunction& agg : op.groupjoin_aggs) {
+      if (agg.arg >= 0) f.attrs.Add(agg.arg);
+    }
+    f.ses = q.catalog_.RelationsOf(f.attrs);
+    q.footprints_.push_back(f);
+    q.has_groupjoin_ |= op.kind == OpKind::kGroupJoin;
+  }
+
   // Visible relations: walk the tree; right subtrees of semi/anti/group
   // joins are invisible above the operator.
   q.visible_rels_ = q.all_rels_;
@@ -84,41 +97,31 @@ void Query::Canonicalize() {
   aggregates_ = std::move(out);
 }
 
-RelSet Query::OpSes(const QueryOp& op) const {
-  RelSet ses = catalog_.RelationsOf(op.predicate.ReferencedAttrs());
-  for (const AggregateFunction& f : op.groupjoin_aggs) {
-    if (f.arg >= 0) ses.Add(catalog_.RelationOf(f.arg));
-  }
-  return ses;
-}
-
 AttrSet Query::GroupByPlus(RelSet rels) const {
-  AttrSet own = catalog_.AttributesOf(rels);
-  AttrSet result = group_by_.Intersect(own);
-  for (const QueryOp& op : ops_) {
-    // Pending: the operator has not yet been applied within `rels`. An
-    // operator is applied exactly at the cut where its syntactic
-    // eligibility set (SES) first spans the two sides, so it is pending iff
-    // its SES is not contained in `rels`. (The original subtree relation
-    // sets are NOT the right test: reordering can apply an operator inside
-    // a smaller set than its original subtrees spanned.)
-    RelSet ses = OpSes(op);
-    if (ses.Intersects(rels) && !ses.IsSubsetOf(rels)) {
-      result.UnionWith(op.predicate.ReferencedAttrs().Intersect(own));
-      // A pending groupjoin's aggregate arguments must survive as well.
-      for (const AggregateFunction& f : op.groupjoin_aggs) {
-        if (f.arg >= 0 && own.Contains(f.arg)) result.Add(f.arg);
-      }
+  // Pending: the operator has not yet been applied within `rels`. An
+  // operator is applied exactly at the cut where its syntactic eligibility
+  // set (SES) first spans the two sides, so it is pending iff its SES
+  // meets `rels` without being contained in it. (The original subtree
+  // relation sets are NOT the right test: reordering can apply an operator
+  // inside a smaller set than its original subtrees spanned.) A pending
+  // operator keeps its predicate attributes and, for a groupjoin, its
+  // aggregate arguments alive.
+  AttrSet pending;
+  for (const OpFootprint& f : footprints_) {
+    if (f.ses.Intersects(rels) && !f.ses.IsSubsetOf(rels)) {
+      pending.UnionWith(f.attrs);
     }
   }
-  return result;
+  return group_by_.Union(pending).Intersect(catalog_.AttributesOf(rels));
 }
 
 bool Query::PendingGroupJoinRightIntersects(RelSet rels) const {
-  for (const QueryOp& op : ops_) {
-    if (op.kind != OpKind::kGroupJoin) continue;
+  if (!has_groupjoin_) return false;
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const QueryOp& op = ops_[i];
     // Pending: not yet applied within `rels` (SES containment, see above).
-    if (!OpSes(op).IsSubsetOf(rels) && op.right_rels.Intersects(rels)) {
+    if (op.kind == OpKind::kGroupJoin && op.right_rels.Intersects(rels) &&
+        !footprints_[i].ses.IsSubsetOf(rels)) {
       return true;
     }
   }

@@ -5,6 +5,13 @@
 // the top grouping (paper: ΓG;F over the join tree). Flattening keeps, for
 // every operator, the relation sets of its original left and right subtrees
 // — exactly what the conflict detector (SIGMOD'13) needs.
+//
+// Flattening also records every operator's footprint (OpFootprint): its raw
+// SES and the attributes it keeps alive while pending. Both are fixed once
+// FromTree returns — the operator list never changes afterwards, and
+// mutable_catalog() edits statistics, never which relation owns an
+// attribute — so the DP's grouping test (GroupByPlus, run for every pair of
+// subplans) is a loop of mask tests over stored values.
 
 #ifndef EADP_ALGEBRA_QUERY_H_
 #define EADP_ALGEBRA_QUERY_H_
@@ -32,6 +39,18 @@ struct QueryOp {
   RelSet right_rels;  ///< T(right(o))
 
   RelSet Relations() const { return left_rels.Union(right_rels); }
+};
+
+/// What one flattened operator needs from the relations below it, derived
+/// once in Query::FromTree.
+struct OpFootprint {
+  /// Raw syntactic eligibility set: the relations owning an attribute of
+  /// the predicate or a groupjoin aggregate argument. The conflict detector
+  /// pads it for degenerate predicates; this is the unpadded value.
+  RelSet ses;
+  /// Attributes the operator keeps alive while it is pending: its
+  /// predicate attributes plus its groupjoin aggregate arguments.
+  AttrSet attrs;
 };
 
 /// A post-aggregation scalar computation, used to reconstitute avg after the
@@ -82,19 +101,23 @@ class Query {
   /// Idempotent.
   void Canonicalize();
 
-  /// The syntactic eligibility set of an operator: the relations its
-  /// predicate (and, for groupjoins, its aggregate vector) references.
-  RelSet OpSes(const QueryOp& op) const;
+  /// The syntactic eligibility set of operator `op_index`: the relations
+  /// its predicate (and, for groupjoins, its aggregate vector) references.
+  /// The stored footprint; computing it costs nothing.
+  RelSet OpSes(size_t op_index) const { return footprints_[op_index].ses; }
 
   /// Attributes referenced by pending operator predicates between `rels`
   /// and its complement, plus the grouping attributes: G+ for the side
   /// `rels` (paper Sec. 3.1: G_i^+ = G_i ∪ J_i). Only attributes owned by
-  /// `rels` are returned.
+  /// `rels` are returned. An operator is pending iff its raw SES meets
+  /// `rels` without being contained in it; the footprints make this one
+  /// mask test per operator.
   AttrSet GroupByPlus(RelSet rels) const;
 
   /// True iff some pending groupjoin's right side intersects `rels`: the
   /// groupjoin's own aggregation must see raw (unaggregated) rows, so
-  /// grouping `rels` early is invalid (see DESIGN.md §2).
+  /// grouping `rels` early is invalid (see DESIGN.md §2). False at once
+  /// for queries without a groupjoin.
   bool PendingGroupJoinRightIntersects(RelSet rels) const;
 
   /// Human-readable multi-line dump.
@@ -105,6 +128,8 @@ class Query {
 
   Catalog catalog_;
   std::vector<QueryOp> ops_;
+  std::vector<OpFootprint> footprints_;  ///< parallel to ops_
+  bool has_groupjoin_ = false;
   std::unique_ptr<OpTreeNode> root_;
   AttrSet group_by_;
   AggregateVector aggregates_;

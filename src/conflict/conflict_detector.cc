@@ -9,20 +9,16 @@ namespace eadp {
 
 ConflictDetector::ConflictDetector(const Query& query)
     : graph_(query.catalog().num_relations()) {
-  const Catalog& catalog = query.catalog();
   const std::vector<QueryOp>& ops = query.ops();
   conflicts_.resize(ops.size());
 
   // First pass: syntactic eligibility sets. SES: relations referenced by
   // the predicate; a groupjoin additionally references its aggregate
-  // arguments (right side).
+  // arguments (right side). The query stores that raw SES per operator.
   for (size_t i = 0; i < ops.size(); ++i) {
     const QueryOp& o = ops[i];
     OperatorConflicts& c = conflicts_[i];
-    c.ses = catalog.RelationsOf(o.predicate.ReferencedAttrs());
-    for (const AggregateFunction& f : o.groupjoin_aggs) {
-      if (f.arg >= 0) c.ses.Add(catalog.RelationOf(f.arg));
-    }
+    c.ses = query.OpSes(i);
     // Degenerate predicates (none in our workloads): anchor each side.
     if (!c.ses.Intersects(o.left_rels)) c.ses.Add(o.left_rels.Lowest());
     if (!c.ses.Intersects(o.right_rels)) c.ses.Add(o.right_rels.Lowest());

@@ -29,7 +29,11 @@ struct ConflictRule {
 
 /// Per-operator conflict information.
 struct OperatorConflicts {
-  RelSet ses;        ///< syntactic eligibility set
+  /// Syntactic eligibility set: Query::OpSes, plus the lowest relation of a
+  /// side the predicate does not reference (degenerate predicates only), so
+  /// each side of the hyperedge is non-empty. The grouping test
+  /// (Query::GroupByPlus) uses the raw, unpadded value, not this one.
+  RelSet ses;
   RelSet left_ses;   ///< SES ∩ T(left(o))
   RelSet right_ses;  ///< SES ∩ T(right(o))
   std::vector<ConflictRule> rules;

@@ -207,7 +207,7 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
 }
 
 bool PlanBuilder::CanPushGrouping(PlanPtr child, OpKind parent,
-                                  bool left_side) const {
+                                  bool left_side, AttrSet* g_plus) const {
   // Fig. 3: semijoin, antijoin and groupjoin admit the push on the left
   // side only; inner/outer joins on both sides (right side of E and both
   // sides of K via the generalized outerjoin with defaults).
@@ -217,18 +217,18 @@ bool PlanBuilder::CanPushGrouping(PlanPtr child, OpKind parent,
   if (child->op == PlanOp::kGroup) return false;
   // A pending groupjoin must see raw rows on its right side.
   if (query_->PendingGroupJoinRightIntersects(child->rels)) return false;
-  AttrSet g_plus = query_->GroupByPlus(child->rels);
-  if (!NeedsGrouping(g_plus, *child)) return false;  // waste (Fig. 6)
+  *g_plus = query_->GroupByPlus(child->rels);
+  if (!NeedsGrouping(*g_plus, *child)) return false;  // waste (Fig. 6)
   // Every raw slot outside G+ must be decomposable (agg_state.h CanGroup).
-  return child->raw_nondecomp.IsSubsetOf(g_plus);
+  return child->raw_nondecomp.IsSubsetOf(*g_plus);
 }
 
-PlanPtr PlanBuilder::MakeGrouping(PlanPtr child) {
+PlanPtr PlanBuilder::MakeGrouping(PlanPtr child, AttrSet g_plus) {
   PlanNode* node = NewNode();
   node->op = PlanOp::kGroup;
   node->rels = child->rels;
   node->left = child;
-  node->group_by = query_->GroupByPlus(child->rels);
+  node->group_by = g_plus;
   // CanPushGrouping put every raw non-decomposable argument in G+, where
   // it stays raw.
   node->raw_nondecomp = child->raw_nondecomp;
@@ -258,10 +258,13 @@ void PlanBuilder::OpTrees(PlanPtr t1, PlanPtr t2, const CrossingOps& crossing,
 
   add(MakeJoin(t1, t2, crossing));
 
-  bool push_left = CanPushGrouping(t1, crossing.primary_kind, true);
-  bool push_right = CanPushGrouping(t2, crossing.primary_kind, false);
-  PlanPtr g1 = push_left ? MakeGrouping(t1) : nullptr;
-  PlanPtr g2 = push_right ? MakeGrouping(t2) : nullptr;
+  AttrSet g1_plus;
+  AttrSet g2_plus;
+  bool push_left = CanPushGrouping(t1, crossing.primary_kind, true, &g1_plus);
+  bool push_right =
+      CanPushGrouping(t2, crossing.primary_kind, false, &g2_plus);
+  PlanPtr g1 = push_left ? MakeGrouping(t1, g1_plus) : nullptr;
+  PlanPtr g2 = push_right ? MakeGrouping(t2, g2_plus) : nullptr;
 
   if (push_left) add(MakeJoin(g1, t2, crossing));
   if (push_right) add(MakeJoin(t1, g2, crossing));

@@ -94,11 +94,14 @@ class PlanBuilder {
   /// True iff Γ_{G+} may be pushed onto `child` when it becomes the
   /// `left_side` argument of an operator of kind `parent`. The
   /// decomposability half is `child->raw_nondecomp ⊆ G+`, which equals
-  /// CanGroup on the materialized child.
-  bool CanPushGrouping(PlanPtr child, OpKind parent, bool left_side) const;
+  /// CanGroup on the materialized child. On true, `*g_plus` holds
+  /// G+ = Query::GroupByPlus(child->rels), ready for MakeGrouping.
+  bool CanPushGrouping(PlanPtr child, OpKind parent, bool left_side,
+                       AttrSet* g_plus) const;
 
-  /// Γ_{G+}(child). Precondition: CanPushGrouping.
-  PlanPtr MakeGrouping(PlanPtr child);
+  /// Γ_{G+}(child), with `g_plus` as CanPushGrouping returned it.
+  /// Precondition: CanPushGrouping.
+  PlanPtr MakeGrouping(PlanPtr child, AttrSet g_plus);
 
   /// The OpTrees routine of Fig. 6. Appends up to four trees to `out`;
   /// when S1 ∪ S2 covers the query, trees are finalized (top grouping or

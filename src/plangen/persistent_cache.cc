@@ -168,10 +168,13 @@ std::unique_ptr<PersistentPlanCache> PersistentPlanCache::Open(
     }
   }
   // Everything but the active segment is sealed history — serve it via
-  // mmap (pread stays the fallback when a map fails).
+  // mmap (pread stays the fallback when a map fails). A segment whose
+  // records were all superseded serves nothing and stays unmapped.
   for (size_t i = 0; i < cache->segments_.size(); ++i) {
-    if (static_cast<int>(i) != cache->active_segment_) {
-      cache->MapSegmentLocked(cache->segments_[i]);
+    Segment& seg = cache->segments_[i];
+    if (static_cast<int>(i) != cache->active_segment_ &&
+        seg.live_records > 0) {
+      cache->MapSegmentLocked(seg);
     }
   }
 
@@ -281,23 +284,9 @@ void PersistentPlanCache::RecoverSegment(uint32_t seg_index, bool is_newest) {
     loc.key_len = key_len;
     loc.overlay_len = overlay_len;
     loc.blob_len = blob_len;
-    // Newest record wins on duplicate keys: the scan runs in append
-    // order, so a later record for an indexed key is a statistics-drift
-    // update and the index moves to it.
-    bool superseded = false;
-    auto& chain = index_[fp.hash];
-    for (Location& existing : chain) {
-      if (existing.hash2 == fp.hash2) {
-        existing = loc;
-        superseded = true;
-        ++stats_.superseded_records;
-        break;
-      }
-    }
-    if (!superseded) {
-      chain.push_back(loc);
-      ++stats_.records;
-    }
+    // The scan runs in append order, so a later record for an indexed key
+    // is a statistics-drift update and the index moves to it.
+    IndexRecordLocked(fp.hash, loc);
     good_end += kRecordHeaderBytes + body;
   }
 
@@ -324,8 +313,8 @@ PersistentPlanCache::~PersistentPlanCache() {
     queue_cv_.notify_all();
     writer_.join();  // drains the queue before exiting
   }
+  // Maps unmap when segments_ (the last holder of each) is destroyed.
   for (Segment& seg : segments_) {
-    if (seg.map != nullptr) ::munmap(seg.map, seg.map_len);
     if (seg.fd >= 0) {
       if (seg.writable) ::fdatasync(seg.fd);
       ::close(seg.fd);
@@ -337,9 +326,35 @@ void PersistentPlanCache::MapSegmentLocked(Segment& seg) {
   if (seg.map != nullptr || seg.fd < 0 || seg.size == 0) return;
   void* map = ::mmap(nullptr, seg.size, PROT_READ, MAP_SHARED, seg.fd, 0);
   if (map == MAP_FAILED) return;  // pread fallback keeps serving
-  seg.map = map;
-  seg.map_len = seg.size;
+  size_t len = seg.size;
+  seg.map = std::shared_ptr<const char>(
+      static_cast<const char*>(map),
+      [len](const char* p) { ::munmap(const_cast<char*>(p), len); });
+  seg.map_len = len;
   ++stats_.mmap_segments;
+}
+
+void PersistentPlanCache::IndexRecordLocked(uint64_t hash,
+                                            const Location& loc) {
+  ++segments_[loc.segment].live_records;
+  auto& chain = index_[hash];
+  for (Location& existing : chain) {
+    if (existing.hash2 != loc.hash2) continue;
+    Segment& old = segments_[existing.segment];
+    existing = loc;
+    ++stats_.superseded_records;
+    // The old record's segment may now be dead. The active segment is
+    // never mapped; a sealed one gives its map up (in-flight Gets hold
+    // their own reference until they finish reading).
+    if (--old.live_records == 0 && old.map != nullptr) {
+      old.map.reset();
+      old.map_len = 0;
+      --stats_.mmap_segments;
+    }
+    return;
+  }
+  chain.push_back(loc);
+  ++stats_.records;
 }
 
 bool PersistentPlanCache::ContainsLocked(uint64_t hash, uint64_t hash2,
@@ -371,7 +386,9 @@ bool PersistentPlanCache::Get(const QueryFingerprint& fp,
                               StatsOverlay* overlay, OptimizeResult* out) {
   struct Candidate {
     int fd;
-    const char* map;  ///< base of the segment mapping, null = pread
+    /// The segment mapping (null = pread), held so a concurrent supersede
+    /// cannot unmap it mid-read.
+    std::shared_ptr<const char> map;
     size_t map_len;
     uint64_t offset;
     uint32_t key_len;
@@ -386,22 +403,22 @@ bool PersistentPlanCache::Get(const QueryFingerprint& fp,
       for (const Location& loc : it->second) {
         if (loc.hash2 == fp.hash2 && loc.key_len == fp.canonical.size()) {
           const Segment& seg = segments_[loc.segment];
-          candidates.push_back({seg.fd, static_cast<const char*>(seg.map),
-                                seg.map_len, loc.offset, loc.key_len,
-                                loc.overlay_len, loc.blob_len});
+          candidates.push_back({seg.fd, seg.map, seg.map_len, loc.offset,
+                                loc.key_len, loc.overlay_len, loc.blob_len});
         }
       }
     }
   }
   // I/O and decode run without the lock: records are immutable, fds stay
-  // open and maps stay mapped for the cache's lifetime. `used_pread`
-  // latches when any byte of the current candidate came through the pread
-  // fallback — the serve-path attribution behind mmap_serves/pread_serves.
+  // open for the cache's lifetime and each candidate holds its map.
+  // `used_pread` latches when any byte of the current candidate came
+  // through the pread fallback — the serve-path attribution behind
+  // mmap_serves/pread_serves.
   bool used_pread = false;
   auto read_at = [&used_pread](const Candidate& c, uint64_t offset, char* dst,
                                size_t n) {
     if (c.map != nullptr && offset + n <= c.map_len) {
-      std::memcpy(dst, c.map + offset, n);
+      std::memcpy(dst, c.map.get() + offset, n);
       return true;
     }
     used_pread = true;
@@ -487,8 +504,8 @@ int PersistentPlanCache::EnsureActiveSegmentLocked(size_t record_bytes) {
       return active_segment_;
     }
     // Rolling over: the outgoing active segment is sealed from here on —
-    // switch its reads to mmap.
-    MapSegmentLocked(seg);
+    // switch its reads to mmap, unless every record in it is superseded.
+    if (seg.live_records > 0) MapSegmentLocked(seg);
   }
   uint64_t id = segments_.empty() ? 0 : segments_.back().id + 1;
   std::string path = options_.directory + "/" + SegmentName(id);
@@ -574,20 +591,7 @@ void PersistentPlanCache::AppendRecord(const PendingWrite& w) {
   loc.key_len = key_len;
   loc.overlay_len = overlay_len;
   loc.blob_len = blob_len;
-  bool superseded = false;
-  auto& chain = index_[w.hash];
-  for (Location& existing : chain) {
-    if (existing.hash2 == w.hash2) {
-      existing = loc;
-      superseded = true;
-      ++stats_.superseded_records;
-      break;
-    }
-  }
-  if (!superseded) {
-    chain.push_back(loc);
-    ++stats_.records;
-  }
+  IndexRecordLocked(w.hash, loc);
   drop_pending();
 }
 

@@ -52,8 +52,14 @@
 // Read path: sealed segments (every segment except the active one — they
 // are immutable by construction) are mmap'd read-only and served by
 // memcpy; the active segment, and any segment whose mmap failed, falls
-// back to pread. Maps live until the cache is destroyed, so concurrent
-// Gets never race an unmap.
+// back to pread. Each segment counts the index entries that point into
+// it; once every record of a sealed segment has been superseded the
+// segment serves nothing and its map is dropped, so the pages a dead
+// segment once faulted in stop counting toward the process's RSS. Maps
+// are held by shared ownership: a Get copies the map handle with its
+// candidates under the lock, so a supersede racing that Get unmaps only
+// after the Get has finished reading. Open() never maps a dead segment.
+// The files themselves stay (history and recovery are unchanged).
 //
 // Coherence with the memory tier: both tiers key on the same canonical
 // fingerprint; OptimizeThroughCache probes memory first, then disk
@@ -115,7 +121,9 @@ struct PersistentCacheStats {
   uint64_t superseded_records = 0;
   size_t records = 0;        ///< indexed, servable records
   size_t segments = 0;       ///< segment files attached (incl. skipped)
-  size_t mmap_segments = 0;  ///< sealed segments served via mmap
+  /// Sealed segments currently mapped; falls when a fully superseded
+  /// segment is unmapped.
+  size_t mmap_segments = 0;
   size_t bytes_on_disk = 0;  ///< sum of attached segment file sizes
   /// Which read path served each hit: a hit whose record bytes all came
   /// from a mapped sealed segment counts as mmap_serves; any hit that
@@ -195,8 +203,12 @@ class PersistentPlanCache {
     uint64_t size = 0;  ///< valid bytes (post tail-truncation)
     bool writable = false;
     /// Read-only mapping of a sealed segment; null = serve via pread.
-    void* map = nullptr;
+    /// Shared with in-flight Gets; the last holder munmaps.
+    std::shared_ptr<const char> map;
     size_t map_len = 0;
+    /// Index entries that point into this segment. A sealed segment at
+    /// zero is dead: nothing in it can be served again.
+    size_t live_records = 0;
   };
   struct PendingWrite {
     uint64_t hash = 0;
@@ -222,6 +234,12 @@ class PersistentPlanCache {
   /// Maps a sealed segment read-only (idempotent; failure leaves the
   /// pread fallback in place). Caller holds mu_.
   void MapSegmentLocked(Segment& seg);
+
+  /// Points the index at `loc` for key hash `hash` — newest record wins,
+  /// so an indexed key with the same hash2 moves to it — and keeps the
+  /// per-segment live counts. A sealed segment whose last live record is
+  /// superseded is unmapped. Caller holds mu_ (or is Open()).
+  void IndexRecordLocked(uint64_t hash, const Location& loc);
 
   /// Appends one record to the active segment (rolling over if needed)
   /// and indexes it. Runs on the writer thread, or inline when

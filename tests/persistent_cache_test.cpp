@@ -13,7 +13,11 @@
 //   * tier coherence — OptimizeThroughCache reports cache_tier 0 (fresh)
 //     / 1 (memory) / 2 (disk), disk hits are promoted into memory, and
 //     a fresh plan lands in both tiers;
-//   * concurrency — parallel Get/Put against the write-behind path.
+//   * unmapping — a sealed segment whose records are all superseded loses
+//     its map (mmap_segments drops, Open does not map it again) while
+//     every key still serves its newest plan bit for bit;
+//   * concurrency — parallel Get/Put against the write-behind path, and
+//     Gets racing the supersedes that unmap their segments.
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -148,9 +152,16 @@ struct PlannedQuery {
   OptimizeResult result;
 };
 
-PlannedQuery PlanNth(int i) {
+/// `drift` > 1 scales relation 0's cardinality before planning: the same
+/// structural key under a different statistics overlay, so a Put of it
+/// supersedes the undrifted record.
+PlannedQuery PlanNth(int i, double drift = 1) {
   OptimizerOptions options;
   PlannedQuery p{NthQuery(i), {}, {}, {}};
+  if (drift != 1) {
+    Catalog* catalog = p.query.mutable_catalog();
+    catalog->SetCardinality(0, catalog->relation(0).cardinality * drift);
+  }
   PlanCacheSplitKey key = PlanCacheKeySplit(p.query, options);
   p.fp = std::move(key.structural);
   p.overlay = std::move(key.overlay);
@@ -328,6 +339,73 @@ TEST(PersistentCache, WarmGetsServeViaMmap) {
   std::string json = CacheTierStatsToJson(nullptr, reopened.get());
   EXPECT_NE(json.find("\"mmap_serves\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pread_serves\":0"), std::string::npos) << json;
+}
+
+TEST(PersistentCache, FullySupersededSegmentsAreUnmapped) {
+  TempDir dir;
+  PersistentCacheOptions opts;
+  opts.directory = dir.path();
+  opts.write_behind = false;
+  opts.max_segment_bytes = 1;  // one record per segment
+
+  const int kQueries = 5;
+  std::vector<PlannedQuery> planned;
+  std::vector<PlannedQuery> drifted;
+  for (int i = 0; i < kQueries; ++i) {
+    planned.push_back(PlanNth(i));
+    drifted.push_back(PlanNth(i, /*drift=*/4));
+    ASSERT_EQ(drifted.back().fp.canonical, planned.back().fp.canonical);
+  }
+  {
+    auto cache = OpenOrDie(opts);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
+  }
+
+  // Reopen with room to spare: the newest segment stays active, the first
+  // four are sealed and mapped.
+  opts.max_segment_bytes = 1u << 20;
+  {
+    auto cache = OpenOrDie(opts);
+    for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
+    EXPECT_EQ(cache->Snapshot().mmap_segments,
+              static_cast<size_t>(kQueries - 1));
+
+    // Supersede the sealed segments' records one by one (the updates land
+    // in the active segment): each sealed segment loses its only live
+    // record and its map.
+    for (int i = 0; i < kQueries - 1; ++i) {
+      const PlannedQuery& d = drifted[static_cast<size_t>(i)];
+      cache->Put(d.fp, d.overlay, d.result);
+      EXPECT_EQ(cache->Snapshot().mmap_segments,
+                static_cast<size_t>(kQueries - 2 - i));
+    }
+    PersistentCacheStats s = cache->Snapshot();
+    EXPECT_EQ(s.mmap_segments, 0u);
+    EXPECT_EQ(s.superseded_records, static_cast<uint64_t>(kQueries - 1));
+    EXPECT_EQ(s.records, static_cast<size_t>(kQueries));
+
+    // Every key still serves the newest plan bit for bit, and the newest
+    // overlay with it.
+    for (int i = 0; i < kQueries; ++i) {
+      const PlannedQuery& p = i < kQueries - 1
+                                  ? drifted[static_cast<size_t>(i)]
+                                  : planned[static_cast<size_t>(i)];
+      ExpectServes(cache.get(), p);
+      StatsOverlay overlay;
+      OptimizeResult out;
+      ASSERT_TRUE(cache->Get(p.fp, &overlay, &out));
+      EXPECT_TRUE(SameStats(overlay, p.overlay));
+    }
+  }
+
+  // Open does not map dead segments; the files stay on disk.
+  auto reopened = OpenOrDie(opts);
+  EXPECT_EQ(reopened->Snapshot().mmap_segments, 0u);
+  EXPECT_EQ(ListSegments(dir.path()).size(), static_cast<size_t>(kQueries));
+  for (int i = 0; i < kQueries - 1; ++i) {
+    ExpectServes(reopened.get(), drifted[static_cast<size_t>(i)]);
+  }
+  ExpectServes(reopened.get(), planned.back());
 }
 
 // ---------------------------------------------------------------------------
@@ -638,6 +716,57 @@ TEST(PersistentCache, ConcurrentGetPut) {
   PersistentCacheStats s = cache->Snapshot();
   EXPECT_LE(s.records, planned.size());
   for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
+}
+
+TEST(PersistentCache, GetRacingSupersedeKeepsItsMap) {
+  // Readers copy a sealed segment's map with their candidates; a writer
+  // supersedes every record of those segments meanwhile, which drops the
+  // cache's reference to each map. A Get that copied a map before the
+  // supersede must still read it whole (run under TSan in CI).
+  TempDir dir;
+  PersistentCacheOptions opts;
+  opts.directory = dir.path();
+  opts.write_behind = false;
+  opts.max_segment_bytes = 1;  // one record per segment
+
+  const int kQueries = 8;
+  std::vector<PlannedQuery> planned;
+  std::vector<PlannedQuery> drifted;
+  for (int i = 0; i < kQueries; ++i) {
+    planned.push_back(PlanNth(i));
+    drifted.push_back(PlanNth(i, /*drift=*/4));
+  }
+  {
+    auto cache = OpenOrDie(opts);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
+  }
+  opts.max_segment_bytes = 1u << 20;
+  opts.write_behind = true;
+  auto cache = OpenOrDie(opts);
+  ASSERT_EQ(cache->Snapshot().mmap_segments,
+            static_cast<size_t>(kQueries - 1));
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int iter = 0; iter < 300; ++iter) {
+        size_t i = static_cast<size_t>(iter + t) % planned.size();
+        OptimizeResult out;
+        if (!cache->Get(planned[i].fp, &out)) std::abort();
+        uint64_t bits = std::bit_cast<uint64_t>(out.plan->cost);
+        if (bits != std::bit_cast<uint64_t>(planned[i].result.plan->cost) &&
+            bits != std::bit_cast<uint64_t>(drifted[i].result.plan->cost)) {
+          std::abort();
+        }
+      }
+    });
+  }
+  for (const PlannedQuery& d : drifted) cache->Put(d.fp, d.overlay, d.result);
+  for (std::thread& t : readers) t.join();
+  cache->Flush();
+
+  EXPECT_EQ(cache->Snapshot().mmap_segments, 0u);
+  for (const PlannedQuery& d : drifted) ExpectServes(cache.get(), d);
 }
 
 }  // namespace
