@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       OptimizerOptions with_elim;
       with_elim.algorithm = Algorithm::kEaPrune;
       OptimizerOptions without_elim = with_elim;
-      without_elim.builder.top_grouping_elimination = false;
+      without_elim.top_grouping_elimination = false;
       OptimizeResult a = Optimize(q, with_elim);
       OptimizeResult b = Optimize(q, without_elim);
       with_sum += a.plan->cost;

@@ -81,8 +81,14 @@ namespace {
 
 /// Version byte of the knobs block; bump on any layout change so skewed
 /// clients are refused cleanly instead of mis-parsed. Version 2 dropped
-/// goo_merge_budget and dp_threads.
-constexpr uint8_t kKnobsVersion = 2;
+/// GOO's merge budget and the DP thread count; version 3 dropped the
+/// FD-tracking flag and IDP's inner policy.
+constexpr uint8_t kKnobsVersion = 3;
+
+/// The largest adaptive_exact_relations a kEaAll session may ask for.
+/// EA-All keeps every tree and grows about 10x per relation; n = 8 is the
+/// largest size the paper's figures run it at (Fig. 16).
+constexpr int kMaxEaAllExactRelations = 8;
 
 constexpr uint8_t kMaxAlgorithm = static_cast<uint8_t>(Algorithm::kIdp);
 
@@ -113,14 +119,12 @@ void AppendKnobs(std::string* out, const PlannerKnobs& knobs) {
   out->push_back(static_cast<char>(kKnobsVersion));
   out->push_back(static_cast<char>(knobs.algorithm));
   PutF64(out, knobs.h2_tolerance);
-  out->push_back(knobs.builder.top_grouping_elimination ? 1 : 0);
-  out->push_back(knobs.builder.track_fds ? 1 : 0);
+  out->push_back(knobs.top_grouping_elimination ? 1 : 0);
   out->push_back(knobs.prune_without_keys ? 1 : 0);
   out->push_back(knobs.prune_without_cardinality ? 1 : 0);
   out->push_back(knobs.full_fd_dominance ? 1 : 0);
   PutZigzag(out, knobs.adaptive_exact_relations);
   PutZigzag(out, knobs.idp_block_size);
-  out->push_back(static_cast<char>(knobs.idp_inner));
 }
 
 bool ReadKnobs(BinReader* r, PlannerKnobs* knobs) {
@@ -132,8 +136,7 @@ bool ReadKnobs(BinReader* r, PlannerKnobs* knobs) {
   // Reject NaN/inf tolerances: they would poison cost comparisons.
   if (r->failed() || !(h2 > 0) || !(h2 < 1e9)) return false;
   k.h2_tolerance = h2;
-  if (!ReadBool(r, &k.builder.top_grouping_elimination) ||
-      !ReadBool(r, &k.builder.track_fds) ||
+  if (!ReadBool(r, &k.top_grouping_elimination) ||
       !ReadBool(r, &k.prune_without_keys) ||
       !ReadBool(r, &k.prune_without_cardinality) ||
       !ReadBool(r, &k.full_fd_dominance) ||
@@ -141,13 +144,12 @@ bool ReadKnobs(BinReader* r, PlannerKnobs* knobs) {
       !ReadI32(r, &k.idp_block_size)) {
     return false;
   }
-  if (!ReadAlgorithm(r, &k.idp_inner) || !IsExhaustive(k.idp_inner)) {
-    return false;
-  }
   // Bound the planning-effort knobs to sane server-side ranges: a hostile
   // client must not be able to request unbounded exact DP.
   if (k.adaptive_exact_relations < 1 || k.adaptive_exact_relations > 16 ||
-      k.idp_block_size < 2 || k.idp_block_size > 8) {
+      k.idp_block_size < 2 || k.idp_block_size > 8 ||
+      (k.algorithm == Algorithm::kEaAll &&
+       k.adaptive_exact_relations > kMaxEaAllExactRelations)) {
     return false;
   }
   *knobs = k;

@@ -130,15 +130,15 @@ DecodeStatus DecodeFrame(std::string_view buf, size_t max_frame_bytes,
 // ---------------------------------------------------------------------------
 
 /// Knobs block: versioned so a server can refuse a skewed client cleanly.
-/// Encodes the PlannerKnobs fields (the plan-identity half of the
+/// Encodes every PlannerKnobs field (the plan-identity half of the
 /// configuration; execution context, the DP worker count included, never
-/// crosses the wire — it is the server's own) except the test hook
-/// `goo_merge_budget`, which a decoded session always holds at its
-/// default.
+/// crosses the wire — it is the server's own).
 void AppendKnobs(std::string* out, const PlannerKnobs& knobs);
 
-/// Decodes a knobs block; false on version skew, truncation, or
-/// out-of-range enum values. On failure `*knobs` is untouched.
+/// Decodes a knobs block; false on version skew, truncation, out-of-range
+/// enum values, or planning-effort knobs past the server's bounds
+/// (adaptive_exact_relations in [1, 16], at most 8 under kEaAll;
+/// idp_block_size in [2, 8]). On failure `*knobs` is untouched.
 bool ReadKnobs(BinReader* r, PlannerKnobs* knobs);
 
 struct OpenSessionRequest {

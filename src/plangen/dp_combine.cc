@@ -7,8 +7,8 @@ namespace eadp {
 
 CcpCombiner::CcpCombiner(const Query* query, PlanBuilder* builder,
                          DpTable* dp, Algorithm algorithm,
-                         double h2_tolerance, const DpTable* read_dp,
-                         double cost_bound)
+                         double cost_bound, double h2_tolerance,
+                         const DpTable* read_dp)
     : query_(query),
       builder_(builder),
       dp_(dp),

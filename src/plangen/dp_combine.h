@@ -39,10 +39,12 @@ class CcpCombiner {
   /// combined, and a built tree costing more is never inserted. C_out is
   /// monotone (cost_model.h), so no discarded tree is part of a complete
   /// plan within the bound. kH1/kH2 ignore the bound.
+  ///
+  /// `h2_tolerance` is kH2's factor F (PlannerKnobs::h2_tolerance); no
+  /// other policy reads it.
   CcpCombiner(const Query* query, PlanBuilder* builder, DpTable* dp,
-              Algorithm algorithm, double h2_tolerance,
-              const DpTable* read_dp = nullptr,
-              double cost_bound = kNoCostBound);
+              Algorithm algorithm, double cost_bound = kNoCostBound,
+              double h2_tolerance = 0, const DpTable* read_dp = nullptr);
 
   /// Applies the input operators crossing the (s1, s2) cut — if any apply —
   /// and inserts the produced trees into the DP table under the algorithm's

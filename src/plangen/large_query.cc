@@ -26,14 +26,12 @@ class LargeQueryRun {
  public:
   LargeQueryRun(const Query& query, const OptimizerOptions& options)
       : query_(query),
-        options_(options),
         conflicts_(query),
         builder_(&query, &conflicts_, EffectiveBuilderOptions(options),
                  std::make_shared<PlanArena>()),
         start_(std::chrono::steady_clock::now()) {}
 
   const Query& query() const { return query_; }
-  const OptimizerOptions& options() const { return options_; }
   const ConflictDetector& conflicts() const { return conflicts_; }
   PlanBuilder& builder() { return builder_; }
 
@@ -104,7 +102,6 @@ class LargeQueryRun {
   }
 
   const Query& query_;
-  const OptimizerOptions& options_;
   ConflictDetector conflicts_;
   PlanBuilder builder_;
   std::chrono::steady_clock::time_point start_;
@@ -116,9 +113,8 @@ class LargeQueryRun {
 };
 
 /// kGoo's merge loop: the unfinalized plan of the last remaining unit, or
-/// the canonical plan when merging gets stuck.
-PlanPtr GreedyPlan(LargeQueryRun& run) {
-  const OptimizerOptions& options = run.options();
+/// the canonical plan when merging gets stuck or `merge_budget` runs out.
+PlanPtr GreedyPlan(LargeQueryRun& run, int merge_budget) {
   std::vector<PlanPtr> units = run.MakeLeafUnits();
   const size_t n = units.size();
 
@@ -164,12 +160,10 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
   while (live.size() > 1) {
     size_t bi = 0, bj = 0;
     PlanPtr best = nullptr;
-    // The merge budget (testing/ablation, -1 = unlimited) deliberately
-    // routes through the same fallback branch as a conflict-blocked state,
-    // so tests can pin the fallback on a genuinely partially-merged run.
-    bool budget_left = options.goo_merge_budget < 0 ||
-                       merges < options.goo_merge_budget;
-    if (budget_left) {
+    // The merge budget (a test seam, -1 = unlimited) deliberately routes
+    // through the same fallback branch as a conflict-blocked state, so
+    // tests can pin the fallback on a genuinely partially-merged run.
+    if (merge_budget < 0 || merges < merge_budget) {
       for (size_t i = 0; i < live.size(); ++i) {
         for (size_t j = i + 1; j < live.size(); ++j) {
           PlanPtr t = candidate(live[i], live[j]);
@@ -197,7 +191,7 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
       // (a 15k-query sweep over mixed-operator trees never blocked:
       // CD-C's conservative rules only admit merges that keep the
       // remaining ops applicable along the original tree), so the branch
-      // is exercised via OptimizerOptions::goo_merge_budget.
+      // is exercised through OptimizeGreedy's merge budget.
       return run.CanonicalPlan();
     }
     size_t merged = live[bi];
@@ -215,14 +209,16 @@ PlanPtr GreedyPlan(LargeQueryRun& run) {
 }  // namespace
 
 OptimizeResult OptimizeGreedy(const Query& query,
-                              const OptimizerOptions& options) {
+                              const OptimizerOptions& options,
+                              int merge_budget) {
   LargeQueryRun run(query, options);
-  return run.Finish(GreedyPlan(run), Algorithm::kGoo);
+  return run.Finish(GreedyPlan(run, merge_budget), Algorithm::kGoo);
 }
 
-double GreedyPlanCost(const Query& query, const OptimizerOptions& options) {
+double GreedyPlanCost(const Query& query, const OptimizerOptions& options,
+                      int merge_budget) {
   LargeQueryRun run(query, options);
-  PlanPtr plan = run.Finalize(GreedyPlan(run));
+  PlanPtr plan = run.Finalize(GreedyPlan(run, merge_budget));
   return plan != nullptr ? plan->cost : kNoCostBound;
 }
 
@@ -233,8 +229,6 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
   // Clamped: the subset-split DP below enumerates 2^(k+2) unit classes in
   // 32-bit masks, and past ~16 the 3^k split work is absurd anyway.
   int k = std::clamp(options.idp_block_size, 2, 16);
-  Algorithm inner = IsExhaustive(options.idp_inner) ? options.idp_inner
-                                                    : Algorithm::kEaPrune;
   const bool bounded = cost_bound < kNoCostBound;
 
   // Two units are adjacent when some input operator references relations
@@ -302,7 +296,7 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
     }
 
     // Exact bounded DP over the group: every split of every unit subset,
-    // inserted under the inner algorithm's policy. Subset masks are
+    // inserted under kEaPrune's policy. Subset masks are
     // processed in increasing word order, so both sides of a split are
     // complete before the split is tried (the DP prerequisite).
     int g = static_cast<int>(group.size());
@@ -336,8 +330,7 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
       reachable.assign(full + 1, 0);
       for (int b = 0; b < g; ++b) reachable[uint32_t{1} << b] = 1;
     }
-    CcpCombiner combiner(&query, &run.builder(), &dp, inner,
-                         options.h2_tolerance, /*read_dp=*/nullptr,
+    CcpCombiner combiner(&query, &run.builder(), &dp, Algorithm::kEaPrune,
                          cost_bound);
     for (uint32_t mask = 3; mask <= full; ++mask) {
       if (std::popcount(mask) < 2) continue;
@@ -387,12 +380,13 @@ OptimizeResult OptimizeIdp(const Query& query, const OptimizerOptions& options,
       }
     }
     run.AbsorbTableStats(dp);
-    if (win == nullptr ? best_count >= 2 : win->cost > cost_bound) {
+    // kEaPrune never inserts a tree costing more than the bound.
+    assert(win == nullptr || !(win->cost > cost_bound));
+    if (win == nullptr && best_count >= 2) {
       // The unbounded run's winner here costs more than the bound: its
-      // class is reachable but the bound emptied it, or (kH1/kH2 inner
-      // policies, which ignore the bound) it was kept anyway. Every later
-      // plan contains that winner, so the final plan would cost more than
-      // the bound and lose the race: stop.
+      // class is reachable but the bound emptied it. Every later plan
+      // contains that winner, so the final plan would cost more than the
+      // bound and lose the race: stop.
       return run.Finish(nullptr, Algorithm::kIdp);
     }
     if (win == nullptr) {

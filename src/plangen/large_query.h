@@ -24,11 +24,11 @@
 //     connected group of at most OptimizerOptions::idp_block_size units
 //     (smallest-cardinality seed, grown by smallest-cardinality adjacent
 //     units), runs an exact bounded DP over that group — every split of
-//     every unit subset, routed through the same CcpCombiner insertion
-//     policies as the exhaustive generators (default kEaPrune, i.e.
-//     dominance-pruned plan lists) — and replaces the group by the winning
-//     subplan. Repeating until one unit remains stitches the winners into
-//     a complete plan. Each subproblem uses a fresh DpTable and runs one
+//     every unit subset, routed through the same CcpCombiner as the
+//     exhaustive generators under kEaPrune's policy (dominance-pruned
+//     plan lists) — and replaces the group by the winning subplan.
+//     Repeating until one unit remains stitches the winners into a
+//     complete plan. Each subproblem uses a fresh DpTable and runs one
 //     sequential split loop on the calling thread, whatever
 //     PlannerContext::dp_threads says; losing subproblem plans are
 //     dropped wholesale when it dies. See docs/DESIGN.md §8 for the
@@ -54,14 +54,26 @@ namespace eadp {
 
 /// Greedy operator ordering. Never fails on satisfiable queries (falls
 /// back to the original tree when greedy merging gets stuck).
+///
+/// `merge_budget` is a test seam, like `cost_bound` a per-call argument
+/// outside plan identity that the facade never passes: after that many
+/// greedy merges the run takes its original-tree fallback (-1, the
+/// default, is unlimited). The fallback's natural trigger — conflict rules
+/// blocking every remaining unit pair mid-run — has no known witness
+/// among tree-shaped single-predicate queries (see the audit note in
+/// large_query.cc), so the regression tests drive the fallback through
+/// this cap: it funnels a genuinely partially-merged state through the
+/// very same branch.
 OptimizeResult OptimizeGreedy(const Query& query,
-                              const OptimizerOptions& options);
+                              const OptimizerOptions& options,
+                              int merge_budget = -1);
 
 /// The cost of OptimizeGreedy's plan, bit for bit, without materializing
 /// the plan or filling stats: the adaptive facade's cost-bound seed for
 /// the exact enumeration (DESIGN.md §14, "seeded bound"). kNoCostBound
-/// when kGoo finds no plan.
-double GreedyPlanCost(const Query& query, const OptimizerOptions& options);
+/// when kGoo finds no plan. `merge_budget` as for OptimizeGreedy.
+double GreedyPlanCost(const Query& query, const OptimizerOptions& options,
+                      int merge_budget = -1);
 
 /// Iterative DP with bounded exact subproblems. Returns a null plan only
 /// when conflict rules leave no unit group combinable (the adaptive facade

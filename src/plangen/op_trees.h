@@ -61,12 +61,13 @@ struct CrossingOps {
   const CrossingInfo* info = nullptr;  ///< op indices, predicate, selectivity
 };
 
-/// Options that alter plan construction (used by ablation benches).
+/// Options that alter plan construction. A planning run fills them from
+/// its knobs through EffectiveBuilderOptions (plangen.h).
 struct BuilderOptions {
   /// Replace an unnecessary top grouping by map + projection (Eqv. 42).
   bool top_grouping_elimination = true;
   /// Maintain full functional-dependency sets on every plan node
-  /// (needed by OptimizerOptions::full_fd_dominance).
+  /// (needed by PlannerKnobs::full_fd_dominance).
   bool track_fds = false;
 };
 

@@ -54,7 +54,6 @@
 namespace eadp {
 
 struct ParallelDpStats {
-  uint64_t ccp_count = 0;           ///< pairs processed across all levels
   uint64_t worker_plans_built = 0;  ///< plan nodes built by worker builders
   double barrier_wait_ms = 0;       ///< caller blocked on peers, summed
 };
@@ -67,9 +66,10 @@ class ParallelDp {
  public:
   /// All pointers are borrowed. `dp` is the merged table (singleton scans
   /// must already be present); `primary` is the run's main builder, whose
-  /// arena adopts the worker arenas. `workers` is clamped to >= 1; `pool`
-  /// may be null (inline execution — the degenerate sequential schedule).
-  /// `cost_bound` goes to every worker's combiner (dp_combine.h).
+  /// arena adopts the worker arenas. `workers` >= 2 run on `pool` (not
+  /// null; worker 0 is the calling thread); one worker is the sequential
+  /// DP loop, which the generator runs itself. `cost_bound` goes to every
+  /// worker's combiner (dp_combine.h).
   ParallelDp(const Query* query, const ConflictDetector* conflicts,
              const OptimizerOptions& options, PlanBuilder* primary,
              DpTable* dp, int workers, ThreadPool* pool,

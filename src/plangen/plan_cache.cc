@@ -33,7 +33,7 @@ void FoldOptionsIntoFingerprint(const PlannerKnobs& knobs,
   // this assert. Every knob is plan identity by definition of the struct
   // (execution context belongs in PlannerContext instead), so the fix is
   // always: fold the new field below, then update the expected size.
-  static_assert(sizeof(PlannerKnobs) == 40,
+  static_assert(sizeof(PlannerKnobs) == 32,
                 "PlannerKnobs changed: fold the new knob into the cache "
                 "key below, then update this size");
   CanonicalWriter w(&fp->canonical);
@@ -41,15 +41,12 @@ void FoldOptionsIntoFingerprint(const PlannerKnobs& knobs,
                // right after the version byte; this delimits the suffix)
   w.U8(static_cast<uint8_t>(knobs.algorithm));
   w.F64(knobs.h2_tolerance);
-  w.U8(knobs.builder.top_grouping_elimination ? 1 : 0);
-  w.U8(knobs.builder.track_fds ? 1 : 0);
+  w.U8(knobs.top_grouping_elimination ? 1 : 0);
   w.U8(knobs.prune_without_keys ? 1 : 0);
   w.U8(knobs.prune_without_cardinality ? 1 : 0);
   w.U8(knobs.full_fd_dominance ? 1 : 0);
   w.I32(knobs.adaptive_exact_relations);
   w.I32(knobs.idp_block_size);
-  w.U8(static_cast<uint8_t>(knobs.idp_inner));
-  w.I32(knobs.goo_merge_budget);
 }
 
 }  // namespace

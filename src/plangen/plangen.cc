@@ -61,8 +61,8 @@ class Generator {
         conflicts_(query),
         builder_(&query, &conflicts_, EffectiveBuilderOptions(options),
                  std::make_shared<PlanArena>()),
-        combiner_(&query, &builder_, &dp_, options.algorithm,
-                  options.h2_tolerance, /*read_dp=*/nullptr, cost_bound) {
+        combiner_(&query, &builder_, &dp_, options.algorithm, cost_bound,
+                  options.h2_tolerance) {
     dp_.SetDominanceOptions(!options.prune_without_cardinality,
                             !options.prune_without_keys,
                             options.full_fd_dominance);

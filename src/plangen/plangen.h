@@ -35,9 +35,9 @@
 //              terminates (falls back to the original operator tree when
 //              conflict rules block every remaining pair).
 //   kIdp     — iterative dynamic programming (IDP1 style): repeatedly runs
-//              the exact insertion policies over bounded unit subproblems
-//              (<= OptimizerOptions::idp_block_size units, default policy
-//              kEaPrune) and stitches the winners until one plan remains.
+//              kEaPrune's insertion policy over bounded unit subproblems
+//              (<= OptimizerOptions::idp_block_size units) and stitches
+//              the winners until one plan remains.
 //
 // The adaptive facade (OptimizeAdaptiveUncached, reached through
 // PlannerSession in plangen/session.h) is the production entry point:
@@ -89,8 +89,9 @@ struct PlannerKnobs {
   Algorithm algorithm = Algorithm::kEaPrune;
   /// Tolerance factor F of CompareAdjustedCosts (H2 only).
   double h2_tolerance = 1.03;
-  /// Builder options (top-grouping elimination etc.).
-  BuilderOptions builder;
+  /// Replace an unnecessary top grouping by map + projection (Eqv. 42);
+  /// off only for the Eqv. 42 ablation.
+  bool top_grouping_elimination = true;
   /// Ablation: disable the key criterion in the dominance test (EA-Prune).
   bool prune_without_keys = false;
   /// Ablation: disable the cardinality criterion in the dominance test.
@@ -115,18 +116,6 @@ struct PlannerKnobs {
   /// that curve on the seeded 100-relation workloads (k=7 costs ~3x the
   /// time for plan costs within a few percent — see bench_large_queries).
   int idp_block_size = 6;
-  /// kIdp: insertion policy used inside the bounded subproblems (any
-  /// exhaustive algorithm; the optimal pruned enumeration by default).
-  Algorithm idp_inner = Algorithm::kEaPrune;
-  /// kGoo testing/ablation hook: number of greedy merges after which the
-  /// run takes its original-tree fallback (-1 = unlimited, the production
-  /// setting). The fallback's natural trigger — conflict rules blocking
-  /// every remaining unit pair mid-run — has no known witness among
-  /// tree-shaped single-predicate queries (see the audit note in
-  /// large_query.cc), so the regression tests drive the fallback path
-  /// through this cap instead: it funnels a genuinely partially-merged
-  /// state through the very same branch.
-  int goo_merge_budget = -1;
 };
 
 /// The execution-context half of the optimizer configuration: where the
@@ -212,14 +201,13 @@ struct PlannerContext {
 /// half by slicing to the PlannerKnobs base.
 struct OptimizerOptions : PlannerKnobs, PlannerContext {};
 
-/// Builder options as the generators actually instantiate them: the
-/// full-FD dominance ablation needs FD sets tracked on every node. Used by
-/// both the sequential Generator and the parallel DP's worker builders so
-/// the two construct plans identically.
-inline BuilderOptions EffectiveBuilderOptions(const OptimizerOptions& o) {
-  BuilderOptions b = o.builder;
-  b.track_fds |= o.full_fd_dominance;
-  return b;
+/// Builder options as the generators instantiate them: the full-FD
+/// dominance ablation needs FD sets tracked on every node. Used by every
+/// PlanBuilder a planning run creates, so all of them construct plans
+/// identically.
+inline BuilderOptions EffectiveBuilderOptions(const PlannerKnobs& k) {
+  return {.top_grouping_elimination = k.top_grouping_elimination,
+          .track_fds = k.full_fd_dominance};
 }
 
 struct OptimizeStats {

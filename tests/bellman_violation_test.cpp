@@ -178,7 +178,7 @@ TEST(BellmanViolation, Eqv42EliminationIsLoadBearing) {
   OptimizerOptions opt;
   opt.algorithm = Algorithm::kEaPrune;
   double with_elim = Optimize(q, opt).plan->cost;
-  opt.builder.top_grouping_elimination = false;
+  opt.top_grouping_elimination = false;
   double without_elim = Optimize(q, opt).plan->cost;
   EXPECT_LT(with_elim, without_elim);
 }

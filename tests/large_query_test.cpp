@@ -252,10 +252,8 @@ TEST(LargeQueryGooPin, CostBitsAndCountersMatchRecordedValues) {
     gen.topology = pin.topology;
     gen.num_relations = pin.n;
     Query query = GenerateRandomQuery(gen, 1);
-    OptimizerOptions options;
-    options.algorithm = Algorithm::kGoo;
-    options.goo_merge_budget = pin.merge_budget;
-    OptimizeResult r = Optimize(query, options);
+    OptimizeResult r =
+        OptimizeGreedy(query, OptimizerOptions{}, pin.merge_budget);
     ASSERT_NE(r.plan, nullptr);
     SCOPED_TRACE(std::string(TopologyName(pin.topology)) + " n=" +
                  std::to_string(pin.n) + " budget " +
@@ -280,20 +278,17 @@ TEST(LargeQueryGooFallback, PartialMergeFallbackValidatesAndMatchesOriginal) {
     OptimizerOptions options;
     OptimizeResult original = OptimizeOriginal(query, options);
     ASSERT_NE(original.plan, nullptr);
-    options.algorithm = Algorithm::kGoo;
     for (int budget : {0, 1, 2, 3}) {
-      options.goo_merge_budget = budget;
-      OptimizeResult fallback = Optimize(query, options);
+      OptimizeResult fallback = OptimizeGreedy(query, options, budget);
       ExpectValid(fallback, query, "kGoo fallback");
       EXPECT_EQ(fallback.stats.algorithm, Algorithm::kGoo);
       EXPECT_TRUE(std::isfinite(fallback.plan->cost));
       EXPECT_LE(fallback.plan->cost, original.plan->cost) << budget;
       EXPECT_EQ(fallback.plan->rels, query.AllRelations());
     }
-    // An unlimited budget is the production path: same result as default
-    // options (the hook must be inert at -1).
-    options.goo_merge_budget = -1;
-    OptimizeResult unlimited = Optimize(query, options);
+    // An unlimited budget is the production path: same result as kGoo
+    // through Optimize (the seam must be inert at -1).
+    OptimizeResult unlimited = OptimizeGreedy(query, options, -1);
     OptimizerOptions plain;
     plain.algorithm = Algorithm::kGoo;
     OptimizeResult reference = Optimize(query, plain);
@@ -311,10 +306,7 @@ TEST(LargeQueryGooFallback, FallbackPlanComputesCanonicalRows) {
     gen.num_relations = 4 + static_cast<int>(seed);
     Query query = GenerateRandomQuery(gen, seed);
     Database db = GenerateDatabase(query, seed * 17 + 3);
-    OptimizerOptions options;
-    options.algorithm = Algorithm::kGoo;
-    options.goo_merge_budget = 2;
-    OptimizeResult fallback = Optimize(query, options);
+    OptimizeResult fallback = OptimizeGreedy(query, OptimizerOptions{}, 2);
     ASSERT_NE(fallback.plan, nullptr);
     Table got = ExecutePlan(fallback.plan, query, db);
     Table want = ExecuteCanonical(query, db);

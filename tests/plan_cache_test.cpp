@@ -304,16 +304,14 @@ TEST(PlanCache, EveryKnobSplitsTheKeyAndNoContextFieldDoes) {
   // field: its sizeof tripwire catches an added field, this catches one
   // dropped from the fold. Execution context — the DP worker count and
   // pool, cache pointers, serving policy — must leave the key alone.
-  static_assert(sizeof(PlannerKnobs) == 40,
+  static_assert(sizeof(PlannerKnobs) == 32,
                 "PlannerKnobs changed: add the new knob to the list below");
   using Mutation = void (*)(PlannerKnobs*);
   const std::vector<std::pair<const char*, Mutation>> knobs = {
       {"algorithm", [](PlannerKnobs* k) { k->algorithm = Algorithm::kH2; }},
       {"h2_tolerance", [](PlannerKnobs* k) { k->h2_tolerance = 1.5; }},
-      {"builder.top_grouping_elimination",
-       [](PlannerKnobs* k) { k->builder.top_grouping_elimination = false; }},
-      {"builder.track_fds",
-       [](PlannerKnobs* k) { k->builder.track_fds = true; }},
+      {"top_grouping_elimination",
+       [](PlannerKnobs* k) { k->top_grouping_elimination = false; }},
       {"prune_without_keys",
        [](PlannerKnobs* k) { k->prune_without_keys = true; }},
       {"prune_without_cardinality",
@@ -323,8 +321,6 @@ TEST(PlanCache, EveryKnobSplitsTheKeyAndNoContextFieldDoes) {
       {"adaptive_exact_relations",
        [](PlannerKnobs* k) { k->adaptive_exact_relations = 9; }},
       {"idp_block_size", [](PlannerKnobs* k) { k->idp_block_size = 4; }},
-      {"idp_inner", [](PlannerKnobs* k) { k->idp_inner = Algorithm::kEaAll; }},
-      {"goo_merge_budget", [](PlannerKnobs* k) { k->goo_merge_budget = 7; }},
   };
   Query q = CorpusQuery(6, 3);
   const PlanCacheSplitKey base = PlanCacheKeySplit(q, PlannerKnobs{});

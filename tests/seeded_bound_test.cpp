@@ -190,27 +190,41 @@ std::vector<Labeled> LargeCorpus() {
 }
 
 TEST(SeededBound, LargeFacadeMatchesTheUnseededRace) {
-  OptimizerOptions fallback;
-  fallback.goo_merge_budget = 2;  // GOO's original-tree fallback
+  const OptimizerOptions options;
   for (const Labeled& c : LargeCorpus()) {
-    for (const OptimizerOptions& options : {OptimizerOptions{}, fallback}) {
-      std::string label =
-          c.label + " goo_merge_budget=" +
-          std::to_string(options.goo_merge_budget);
-      OptimizeResult seeded = OptimizeAdaptiveUncached(c.query, options);
-      OptimizeResult want = UnseededFacade(c.query, options);
-      ASSERT_NE(seeded.plan, nullptr) << label;
-      ASSERT_NE(want.plan, nullptr) << label;
-      EXPECT_EQ(PlanOnlyBytes(seeded), PlanOnlyBytes(want)) << label;
-      EXPECT_EQ(seeded.stats.algorithm, want.stats.algorithm) << label;
+    OptimizeResult seeded = OptimizeAdaptiveUncached(c.query, options);
+    OptimizeResult want = UnseededFacade(c.query, options);
+    ASSERT_NE(seeded.plan, nullptr) << c.label;
+    ASSERT_NE(want.plan, nullptr) << c.label;
+    EXPECT_EQ(PlanOnlyBytes(seeded), PlanOnlyBytes(want)) << c.label;
+    EXPECT_EQ(seeded.stats.algorithm, want.stats.algorithm) << c.label;
 
-      // No subproblem is planned twice: the bounded run's cuts are a
-      // subset of the unbounded run's.
-      OptimizeResult goo = OptimizeGreedy(c.query, options);
-      ASSERT_NE(goo.plan, nullptr) << label;
-      OptimizeResult bounded = OptimizeIdp(c.query, options, goo.plan->cost);
-      OptimizeResult unbounded = OptimizeIdp(c.query, options);
-      EXPECT_LE(bounded.stats.ccp_count, unbounded.stats.ccp_count) << label;
+    // GOO's original-tree fallback (a 2-merge budget) against IDP: the
+    // facade's large path rebuilt from the race pieces, where GOO's cost
+    // bounds IDP, matches the unbounded race.
+    std::string label = c.label + " goo merge budget 2";
+    OptimizeResult fallback_goo = OptimizeGreedy(c.query, options, 2);
+    ASSERT_NE(fallback_goo.plan, nullptr) << label;
+    const double goo_cost = fallback_goo.plan->cost;
+    OptimizeResult bounded_race = PickAdaptiveWinner(
+        OptimizeIdp(c.query, options, goo_cost), fallback_goo);
+    OptimizeResult unbounded_race = PickAdaptiveWinner(
+        OptimizeIdp(c.query, options), OptimizeGreedy(c.query, options, 2));
+    ASSERT_NE(bounded_race.plan, nullptr) << label;
+    EXPECT_EQ(PlanOnlyBytes(bounded_race), PlanOnlyBytes(unbounded_race))
+        << label;
+    EXPECT_EQ(bounded_race.stats.algorithm, unbounded_race.stats.algorithm)
+        << label;
+
+    // No subproblem is planned twice: the bounded run's cuts are a
+    // subset of the unbounded run's, under either GOO cost.
+    OptimizeResult goo = OptimizeGreedy(c.query, options);
+    ASSERT_NE(goo.plan, nullptr) << c.label;
+    OptimizeResult unbounded = OptimizeIdp(c.query, options);
+    for (double bound : {goo.plan->cost, goo_cost}) {
+      OptimizeResult bounded = OptimizeIdp(c.query, options, bound);
+      EXPECT_LE(bounded.stats.ccp_count, unbounded.stats.ccp_count)
+          << c.label << " bound=" << bound;
     }
   }
 }
@@ -221,43 +235,39 @@ TEST(SeededBound, IdpBoundedByItsOwnCostKeepsItsPlan) {
   // the next double below it makes the run give up. The random trees here
   // salvage under the bound, where reachable classes the bound emptied
   // must not be mistaken for conflict-blocked ones.
-  OptimizerOptions h1_inner;
-  h1_inner.idp_inner = Algorithm::kH1;
+  const OptimizerOptions options;
   int planned = 0;
   for (const Labeled& c : LargeCorpus()) {
     if (c.query.NumRelations() > 20) continue;
-    for (const OptimizerOptions& options : {OptimizerOptions{}, h1_inner}) {
-      std::string label =
-          c.label + " inner=" + AlgorithmName(options.idp_inner);
-      OptimizeResult unbounded = OptimizeIdp(c.query, options);
-      if (unbounded.plan == nullptr) {
-        // Conflict-blocked everywhere: any bound gives up too.
-        EXPECT_EQ(OptimizeIdp(c.query, options, 1e300).plan, nullptr)
-            << label;
-        continue;
-      }
-      ++planned;
-      const double cost = unbounded.plan->cost;
-      OptimizeResult at = OptimizeIdp(c.query, options, cost);
-      ASSERT_NE(at.plan, nullptr) << label;
-      EXPECT_EQ(PlanOnlyBytes(at), PlanOnlyBytes(unbounded)) << label;
-      EXPECT_LE(at.stats.ccp_count, unbounded.stats.ccp_count) << label;
-      EXPECT_EQ(OptimizeIdp(c.query, options, std::nextafter(cost, 0.0)).plan,
-                nullptr)
-          << label;
+    OptimizeResult unbounded = OptimizeIdp(c.query, options);
+    if (unbounded.plan == nullptr) {
+      // Conflict-blocked everywhere: any bound gives up too.
+      EXPECT_EQ(OptimizeIdp(c.query, options, 1e300).plan, nullptr)
+          << c.label;
+      continue;
     }
+    ++planned;
+    const double cost = unbounded.plan->cost;
+    OptimizeResult at = OptimizeIdp(c.query, options, cost);
+    ASSERT_NE(at.plan, nullptr) << c.label;
+    EXPECT_EQ(PlanOnlyBytes(at), PlanOnlyBytes(unbounded)) << c.label;
+    EXPECT_LE(at.stats.ccp_count, unbounded.stats.ccp_count) << c.label;
+    EXPECT_EQ(OptimizeIdp(c.query, options, std::nextafter(cost, 0.0)).plan,
+              nullptr)
+        << c.label;
   }
-  EXPECT_GT(planned, 30);
+  EXPECT_GT(planned, 15);
 }
 
 TEST(SeededBound, GreedyPlanCostIsTheGreedyPlansCost) {
-  OptimizerOptions fallback;
-  fallback.goo_merge_budget = 1;
+  const OptimizerOptions options;
   for (const Labeled& c : ExactCorpus()) {
-    for (const OptimizerOptions& options : {OptimizerOptions{}, fallback}) {
-      OptimizeResult goo = OptimizeGreedy(c.query, options);
+    for (int merge_budget : {-1, 1}) {  // 1: the original-tree fallback
+      OptimizeResult goo = OptimizeGreedy(c.query, options, merge_budget);
       ASSERT_NE(goo.plan, nullptr) << c.label;
-      EXPECT_EQ(GreedyPlanCost(c.query, options), goo.plan->cost) << c.label;
+      EXPECT_EQ(GreedyPlanCost(c.query, options, merge_budget),
+                goo.plan->cost)
+          << c.label << " merge_budget=" << merge_budget;
     }
   }
 }

@@ -121,8 +121,15 @@ TEST(ServerFuzz, RequestDecodersAreTotal) {
     if (DecodeOpenSession(payload, &open)) {
       ASSERT_FALSE(open.session.empty());
       ASSERT_LE(open.session.size(), 256u);
-      // Not on the wire: every decoded session plans with the defaults.
-      ASSERT_EQ(open.knobs.goo_merge_budget, -1);
+      // Every decoded block is within the server-side effort bounds.
+      const PlannerKnobs& k = open.knobs;
+      ASSERT_GE(k.adaptive_exact_relations, 1);
+      ASSERT_LE(k.adaptive_exact_relations,
+                k.algorithm == Algorithm::kEaAll ? 8 : 16);
+      ASSERT_GE(k.idp_block_size, 2);
+      ASSERT_LE(k.idp_block_size, 8);
+      ASSERT_GT(k.h2_tolerance, 0);
+      ASSERT_LT(k.h2_tolerance, 1e9);
     }
     SetStatsRequest set_stats;
     if (DecodeSetStats(payload, &set_stats)) {

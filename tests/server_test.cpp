@@ -139,14 +139,12 @@ TEST(ServerProtocol, KnobsRoundTrip) {
   PlannerKnobs knobs;
   knobs.algorithm = Algorithm::kH2;
   knobs.h2_tolerance = 1.5;
-  knobs.builder.top_grouping_elimination = false;
-  knobs.builder.track_fds = true;
+  knobs.top_grouping_elimination = false;
   knobs.prune_without_keys = true;
+  knobs.prune_without_cardinality = true;
   knobs.full_fd_dominance = true;
   knobs.adaptive_exact_relations = 9;
   knobs.idp_block_size = 4;
-  knobs.idp_inner = Algorithm::kEaAll;
-  knobs.goo_merge_budget = 7;
 
   std::string bytes;
   AppendKnobs(&bytes, knobs);
@@ -156,33 +154,46 @@ TEST(ServerProtocol, KnobsRoundTrip) {
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(decoded.algorithm, knobs.algorithm);
   EXPECT_EQ(decoded.h2_tolerance, knobs.h2_tolerance);
-  EXPECT_EQ(decoded.builder.top_grouping_elimination,
-            knobs.builder.top_grouping_elimination);
-  EXPECT_EQ(decoded.builder.track_fds, knobs.builder.track_fds);
+  EXPECT_EQ(decoded.top_grouping_elimination, knobs.top_grouping_elimination);
   EXPECT_EQ(decoded.prune_without_keys, knobs.prune_without_keys);
+  EXPECT_EQ(decoded.prune_without_cardinality,
+            knobs.prune_without_cardinality);
   EXPECT_EQ(decoded.full_fd_dominance, knobs.full_fd_dominance);
   EXPECT_EQ(decoded.adaptive_exact_relations, knobs.adaptive_exact_relations);
   EXPECT_EQ(decoded.idp_block_size, knobs.idp_block_size);
-  EXPECT_EQ(decoded.idp_inner, knobs.idp_inner);
-  // Not on the wire: a remote session plans with the defaults.
-  EXPECT_EQ(decoded.goo_merge_budget, PlannerKnobs{}.goo_merge_budget);
+}
+
+/// The default knobs in the version-2 layout, which carried a track_fds
+/// byte after top_grouping_elimination and an idp_inner byte at the end.
+std::string VersionTwoKnobs() {
+  std::string v2;
+  AppendKnobs(&v2, PlannerKnobs{});
+  v2[0] = 2;
+  const size_t track_fds_at = 1 + 1 + 8 + 1;  // version, algorithm, h2, top
+  v2.insert(v2.begin() + track_fds_at, 0);
+  v2.push_back(static_cast<char>(Algorithm::kEaPrune));  // idp_inner
+  return v2;
 }
 
 TEST(ServerProtocol, KnobsRejectTheVersionOneLayout) {
-  // Version 1 carried goo_merge_budget and dp_threads after idp_inner. A
-  // client still sending that layout is refused, not mis-parsed.
-  std::string v1;
-  AppendKnobs(&v1, PlannerKnobs{});
+  // Version 1 carried goo_merge_budget and dp_threads after idp_inner;
+  // version 2 still carried track_fds and idp_inner. A client sending
+  // either layout is refused, not mis-parsed.
+  std::string v2 = VersionTwoKnobs();
+  std::string v1 = v2;
   v1[0] = 1;
   v1.push_back(1);  // zigzag(-1): goo_merge_budget
   v1.push_back(2);  // zigzag(1): dp_threads
-  BinReader reader(v1);
-  PlannerKnobs sink;
-  EXPECT_FALSE(ReadKnobs(&reader, &sink));
+  for (const std::string& old : {v1, v2}) {
+    SCOPED_TRACE("version " + std::to_string(old[0]));
+    BinReader reader(old);
+    PlannerKnobs sink;
+    EXPECT_FALSE(ReadKnobs(&reader, &sink));
 
-  // The same block behind a length-prefixed session name "s".
-  OpenSessionRequest decoded;
-  EXPECT_FALSE(DecodeOpenSession("\x01s" + v1, &decoded));
+    // The same block behind a length-prefixed session name "s".
+    OpenSessionRequest decoded;
+    EXPECT_FALSE(DecodeOpenSession("\x01s" + old, &decoded));
+  }
 }
 
 TEST(ServerProtocol, KnobsRejectHostileValues) {
@@ -205,6 +216,15 @@ TEST(ServerProtocol, KnobsRejectHostileValues) {
   reject([](std::string* b) {
     PlannerKnobs hostile;
     hostile.adaptive_exact_relations = 17;
+    b->clear();
+    AppendKnobs(b, hostile);
+  });
+  // kEaAll past 8 exact relations: one 16-relation Optimize would pin a
+  // pool worker (EA-All grows about 10x per relation).
+  reject([](std::string* b) {
+    PlannerKnobs hostile;
+    hostile.algorithm = Algorithm::kEaAll;
+    hostile.adaptive_exact_relations = 9;
     b->clear();
     AppendKnobs(b, hostile);
   });
@@ -313,6 +333,20 @@ TEST_F(PlanServerTest, HostileFramesSurviveTheConnection) {
   AppendFrame(&bad_payload, Opcode::kOpenSession, "\xff\xff\xff");
   ASSERT_TRUE(conn->SendRaw(bad_payload));
   EXPECT_EQ(ExpectErrorFrame(conn.get()), ErrorCode::kBadRequest);
+
+  // Knobs in the retired version-2 layout, and a kEaAll session past its
+  // exact-relation cap.
+  PlannerKnobs ea_all;
+  ea_all.algorithm = Algorithm::kEaAll;
+  ea_all.adaptive_exact_relations = 16;
+  std::string hostile_knobs;
+  AppendKnobs(&hostile_knobs, ea_all);
+  for (const std::string& knobs : {VersionTwoKnobs(), hostile_knobs}) {
+    std::string open;
+    AppendFrame(&open, Opcode::kOpenSession, "\x01s" + knobs);
+    ASSERT_TRUE(conn->SendRaw(open));
+    EXPECT_EQ(ExpectErrorFrame(conn.get()), ErrorCode::kBadRequest);
+  }
 
   // The SAME connection still serves a well-formed exchange.
   ErrorResponse err;
