@@ -36,6 +36,7 @@ class FdSet {
   void Add(AttrSet lhs, AttrSet rhs) { fds_.push_back({lhs, rhs}); }
   void Add(const FunctionalDependency& fd) { fds_.push_back(fd); }
   void AddAll(const FdSet& other);
+  void Reserve(size_t n) { fds_.reserve(n); }
 
   size_t size() const { return fds_.size(); }
   const std::vector<FunctionalDependency>& fds() const { return fds_; }

@@ -12,6 +12,13 @@ Arena::Arena() {
   std::fill(ptr_, end_, 0);
 }
 
+Arena::Arena(size_t first_block_bytes)
+    : next_block_size_(std::max<size_t>(first_block_bytes, 1)) {
+  AddBlock(next_block_size_);
+  // Overflow past the sized block grows like an eager arena.
+  next_block_size_ = kMinBlockSize;
+}
+
 void* Arena::AllocateBytes(size_t size, size_t align) {
   assert(align != 0 && (align & (align - 1)) == 0 && "align: power of two");
   assert(align <= alignof(std::max_align_t));

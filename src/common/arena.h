@@ -31,6 +31,11 @@ class Arena {
   /// constructed off the hot path, so the initial system allocation and
   /// its page faults happen before the first timed allocation.
   Arena();
+  /// Sized, untouched first block of exactly `first_block_bytes` (at least
+  /// 1): for an arena whose contents are known up front, such as a decoded
+  /// plan, where the eager 16 KiB block would be mostly zero-filled waste.
+  /// Later blocks grow as in the eager arena.
+  explicit Arena(size_t first_block_bytes);
   ~Arena() { RunCleanups(); }
 
   Arena(const Arena&) = delete;

@@ -83,8 +83,8 @@ NodeCards Walk(PlanPtr node, const Query& query,
       } else {
         double right_match_distinct = r.cardinality;
         if (node->op == PlanOp::kLeftSemi || node->op == PlanOp::kLeftAnti) {
-          AttrSet j2 = node->crossing->predicate.ReferencedAttrs().Intersect(
-              query.catalog().AttributesOf(node->right->rels));
+          AttrSet j2 = query.catalog().AttributesOf(
+              node->right->rels, node->crossing->predicate.ReferencedAttrs());
           right_match_distinct =
               estimator.GroupingCardinality(j2, r.pregroup);
         }

@@ -81,15 +81,14 @@ KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
   if (plan_op == PlanOp::kLeftSemi || plan_op == PlanOp::kLeftAnti ||
       plan_op == PlanOp::kGroupJoin) {
     out.keys = left.keys();
+    out.passthrough = left.keys_;
     out.duplicate_free = left.duplicate_free;
     return out;
   }
 
   AttrSet refs = pred.ReferencedAttrs();
-  AttrSet left_attrs = catalog.AttributesOf(left.rels);
-  AttrSet right_attrs = catalog.AttributesOf(right.rels);
-  AttrSet j1 = refs.Intersect(left_attrs);
-  AttrSet j2 = refs.Intersect(right_attrs);
+  AttrSet j1 = catalog.AttributesOf(left.rels, refs);
+  AttrSet j2 = catalog.AttributesOf(right.rels, refs);
   bool j1_is_key = left.duplicate_free && HasKeySubset(left.keys(), j1);
   bool j2_is_key = right.duplicate_free && HasKeySubset(right.keys(), j2);
 
@@ -103,8 +102,10 @@ KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
         out.keys = MergedKeys(left.keys(), right.keys());
       } else if (j1_is_key) {
         out.keys = right.keys();
+        out.passthrough = right.keys_;
       } else if (j2_is_key) {
         out.keys = left.keys();
+        out.passthrough = left.keys_;
       } else {
         out.keys = PairwiseKeyUnions(left.keys(), right.keys());
       }
@@ -113,6 +114,7 @@ KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
       // A2 key of e2 -> κ(e1) (Sec. 2.3.2); else pairwise unions.
       if (j2_is_key) {
         out.keys = left.keys();
+        out.passthrough = left.keys_;
       } else {
         out.keys = PairwiseKeyUnions(left.keys(), right.keys());
       }

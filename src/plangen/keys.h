@@ -87,6 +87,10 @@ class KeySet {
 struct KeyProperties {
   KeySet keys;
   bool duplicate_free = false;
+  /// The child's interned key set when `keys` is that child's set passed
+  /// through unchanged (semi-, anti- and groupjoin, a join on a key): the
+  /// builder reuses the pointer instead of interning an equal set again.
+  const KeySet* passthrough = nullptr;
 };
 
 /// True iff some key in `keys` is a subset of `attrs` (i.e. `attrs` is a

@@ -153,7 +153,8 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
 
   KeyProperties keys = ComputeJoinKeys(node->op, query_->catalog(), *left,
                                        *right, info.predicate);
-  node->keys_ = arena_->InternKeys(keys.keys);
+  node->keys_ = keys.passthrough != nullptr ? keys.passthrough
+                                            : arena_->InternKeys(keys.keys);
   node->duplicate_free = keys.duplicate_free;
 
   if (node->op == PlanOp::kJoin) {
@@ -170,8 +171,8 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
       // Distinct join values bound by the grouping-invariant product, so
       // grouped and ungrouped right sides estimate the same existence
       // probability.
-      AttrSet j2 = info.predicate.ReferencedAttrs().Intersect(
-          query_->catalog().AttributesOf(right->rels));
+      AttrSet j2 = query_->catalog().AttributesOf(
+          right->rels, info.predicate.ReferencedAttrs());
       right_match_distinct =
           estimator_.GroupingCardinality(j2, right->pregroup_cardinality);
     }

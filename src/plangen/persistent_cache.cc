@@ -384,83 +384,91 @@ bool PersistentPlanCache::ContainsLocked(uint64_t hash, uint64_t hash2,
 
 bool PersistentPlanCache::Get(const QueryFingerprint& fp,
                               StatsOverlay* overlay, OptimizeResult* out) {
-  struct Candidate {
-    int fd;
-    /// The segment mapping (null = pread), held so a concurrent supersede
-    /// cannot unmap it mid-read.
-    std::shared_ptr<const char> map;
-    size_t map_len;
-    uint64_t offset;
-    uint32_t key_len;
-    uint32_t overlay_len;
-    uint32_t blob_len;
-  };
-  std::vector<Candidate> candidates;
+  // The index keeps one record per 128-bit hash (IndexRecordLocked moves
+  // an equal hash2 to the newer record), so there is one candidate at
+  // most. The lock covers only the copy: records are immutable, fds stay
+  // open for the cache's lifetime and `map` holds the segment's mapping,
+  // so a concurrent supersede cannot unmap it mid-read.
+  Location loc;
+  int fd = -1;
+  std::shared_ptr<const char> map;
+  size_t map_len = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const Location* found = nullptr;
     auto it = index_.find(fp.hash);
     if (it != index_.end()) {
-      for (const Location& loc : it->second) {
-        if (loc.hash2 == fp.hash2 && loc.key_len == fp.canonical.size()) {
-          const Segment& seg = segments_[loc.segment];
-          candidates.push_back({seg.fd, seg.map, seg.map_len, loc.offset,
-                                loc.key_len, loc.overlay_len, loc.blob_len});
+      for (const Location& l : it->second) {
+        if (l.hash2 == fp.hash2 && l.key_len == fp.canonical.size()) {
+          found = &l;
+          break;
         }
       }
     }
+    if (found == nullptr) {
+      ++stats_.misses;
+      return false;
+    }
+    loc = *found;
+    const Segment& seg = segments_[loc.segment];
+    fd = seg.fd;
+    map = seg.map;
+    map_len = seg.map_len;
   }
-  // I/O and decode run without the lock: records are immutable, fds stay
-  // open for the cache's lifetime and each candidate holds its map.
-  // `used_pread` latches when any byte of the current candidate came
-  // through the pread fallback — the serve-path attribution behind
-  // mmap_serves/pread_serves.
-  bool used_pread = false;
-  auto read_at = [&used_pread](const Candidate& c, uint64_t offset, char* dst,
-                               size_t n) {
-    if (c.map != nullptr && offset + n <= c.map_len) {
-      std::memcpy(dst, c.map.get() + offset, n);
-      return true;
+
+  // Key, overlay and blob are contiguous: one span, read in place from a
+  // mapped sealed segment, or with one pread into this thread's reused
+  // buffer (the active segment, a failed map, or a record straddling the
+  // mapped prefix).
+  const uint64_t start = loc.offset + kRecordHeaderBytes;
+  const size_t len =
+      static_cast<size_t>(loc.key_len) + loc.overlay_len + loc.blob_len;
+  const bool mapped = map != nullptr && start + len <= map_len;
+  std::string_view record;
+  if (mapped) {
+    record = std::string_view(map.get() + start, len);
+  } else {
+    thread_local std::string buffer;
+    if (buffer.size() < len) buffer.resize(len);
+    if (ReadExact(fd, start, buffer.data(), len)) {
+      record = std::string_view(buffer.data(), len);
     }
-    used_pread = true;
-    return ReadExact(c.fd, offset, dst, n);
-  };
-  for (const Candidate& c : candidates) {
-    used_pread = false;
-    std::string key(c.key_len, '\0');
-    if (!read_at(c, c.offset + kRecordHeaderBytes, key.data(), c.key_len) ||
-        key != fp.canonical) {
-      continue;  // hash collision (or unreadable record): not our key
-    }
-    std::string overlay_bytes(c.overlay_len, '\0');
-    std::string blob(c.blob_len, '\0');
-    bool read_ok =
-        read_at(c, c.offset + kRecordHeaderBytes + c.key_len,
-                overlay_bytes.data(), c.overlay_len) &&
-        read_at(c, c.offset + kRecordHeaderBytes + c.key_len + c.overlay_len,
-                blob.data(), c.blob_len);
-    StatsOverlay parsed;
-    OptimizeResult decoded;
-    if (read_ok && ParseOverlay(overlay_bytes, &parsed) &&
-        DecodePlan(blob, &decoded)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.hits;
-      if (used_pread) {
-        ++stats_.pread_serves;
-      } else {
-        ++stats_.mmap_serves;
-      }
-      if (overlay != nullptr) *overlay = std::move(parsed);
-      *out = std::move(decoded);
-      return true;
-    }
+  }
+  if (record.size() != len || record.substr(0, loc.key_len) != fp.canonical) {
+    // Hash collision (or an unreadable record): not our key.
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.decode_failures;
-    // Keep scanning: an unlikely same-128-bit-hash sibling may still hold
-    // a good record.
+    ++stats_.misses;
+    return false;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
-  return false;
+  // The key matched byte for byte. A requested overlay must still hash to
+  // what the record was indexed under, and the blob carries its own CRC,
+  // so a record damaged after it was indexed fails here instead of
+  // serving. (An overlay nobody asked for is not read at all.)
+  std::string_view overlay_bytes = record.substr(loc.key_len, loc.overlay_len);
+  std::string_view blob = record.substr(loc.key_len + loc.overlay_len);
+  StatsOverlay parsed;
+  OptimizeResult decoded;
+  bool ok = (overlay == nullptr ||
+             (EncodedOverlayHash(overlay_bytes) == loc.overlay_hash &&
+              ParseOverlay(overlay_bytes, &parsed))) &&
+            DecodePlan(blob, &decoded);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ok) {
+      ++stats_.decode_failures;
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    if (mapped) {
+      ++stats_.mmap_serves;
+    } else {
+      ++stats_.pread_serves;
+    }
+  }
+  if (overlay != nullptr) *overlay = std::move(parsed);
+  *out = std::move(decoded);
+  return true;
 }
 
 void PersistentPlanCache::Put(const QueryFingerprint& fp,

@@ -49,17 +49,22 @@
 // (callers replan; duplicate Puts are suppressed). Get() decodes into a
 // fresh arena per hit, so served plans share nothing mutable.
 //
-// Read path: sealed segments (every segment except the active one — they
-// are immutable by construction) are mmap'd read-only and served by
-// memcpy; the active segment, and any segment whose mmap failed, falls
-// back to pread. Each segment counts the index entries that point into
-// it; once every record of a sealed segment has been superseded the
-// segment serves nothing and its map is dropped, so the pages a dead
-// segment once faulted in stop counting toward the process's RSS. Maps
-// are held by shared ownership: a Get copies the map handle with its
-// candidates under the lock, so a supersede racing that Get unmaps only
-// after the Get has finished reading. Open() never maps a dead segment.
-// The files themselves stay (history and recovery are unchanged).
+// Read path: a record's key, overlay and blob are contiguous, and Get reads
+// them as one span. Sealed segments (every segment except the active one —
+// they are immutable by construction) are mmap'd read-only and the span is
+// used in place; the active segment, and any segment whose mmap failed, is
+// read with one pread into a per-thread buffer that is reused across Gets.
+// The key is compared byte for byte, a requested overlay against the hash the
+// record was indexed under, and the blob by its own CRC, so a record damaged
+// after it was indexed is a miss or a decode failure, never a serve. Each
+// segment counts the index entries that point into it; once every record of a
+// sealed segment has been superseded the segment serves nothing and its map
+// is dropped, so the pages a dead segment once faulted in stop counting
+// toward the process's RSS. Maps are held by shared ownership: a Get copies
+// the map handle with its candidate under the lock, so a supersede racing
+// that Get unmaps only after the Get has finished reading. Open() never maps
+// a dead segment. The files themselves stay (history and recovery are
+// unchanged).
 //
 // Coherence with the memory tier: both tiers key on the same canonical
 // fingerprint; OptimizeThroughCache probes memory first, then disk
@@ -99,13 +104,14 @@ struct PersistentCacheOptions {
   bool write_behind = true;
 };
 
-/// Aggregate counters (Snapshot). hits/misses count Get outcomes; a Get
-/// whose stored blob fails to decode (foreign corruption that slipped
-/// past the record CRC — in practice only seen in fault-injection tests)
-/// counts as decode_failures *and* misses. puts are accepted Put calls;
-/// duplicate_puts were suppressed as already present or in flight.
-/// torn_records_dropped / skipped_segments describe what Open() refused;
-/// io_errors are failed appends (record dropped, cache still serves).
+/// Aggregate counters (Snapshot). hits/misses count Get outcomes; a Get whose
+/// requested overlay no longer matches its indexed hash or whose blob fails
+/// to decode (damage after the record was indexed — in practice only seen in
+/// fault-injection tests) counts as decode_failures *and* misses. puts are
+/// accepted Put calls; duplicate_puts were suppressed as already present or
+/// in flight. torn_records_dropped / skipped_segments describe what Open()
+/// refused; io_errors are failed appends (record dropped, cache still
+/// serves).
 struct PersistentCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;

@@ -174,7 +174,11 @@ struct PlanNode {
 /// pointer, which the dominance test exploits.
 class PlanArena {
  public:
+  /// The DP's arena: an eager first block (see Arena()).
   PlanArena() = default;
+  /// A right-sized arena for a plan whose size is known up front (a
+  /// decoded blob): one untouched first block of `first_block_bytes`.
+  explicit PlanArena(size_t first_block_bytes) : arena_(first_block_bytes) {}
   PlanArena(const PlanArena&) = delete;
   PlanArena& operator=(const PlanArena&) = delete;
 

@@ -1,6 +1,8 @@
 #include "plangen/plan_serde.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -47,11 +49,12 @@ class PtrRegistry {
   std::unordered_map<const T*, size_t> index_;
 };
 
-/// KeySets dedup by *content*, not pointer: the decoder interns them
-/// (PlanArena::InternKeys), so two content-equal sets from different
-/// worker arenas of a parallel build would collapse into one pointer on
-/// decode — pointer-keyed dedup would then re-encode one table entry
-/// where the original had two, breaking byte-identity.
+/// KeySets dedup by *content*, not pointer: content-equal sets interned
+/// separately (by the worker arenas of a parallel build, or reused from a
+/// child in another worker's arena) become one table entry, so the blob
+/// does not depend on which arena owns which set. The decoder refuses a
+/// table with two equal entries, so every accepted key-set table is this
+/// canonical one.
 class KeySetRegistry {
  public:
   uint32_t Ref(const KeySet* p) {
@@ -294,6 +297,18 @@ std::string EncodePlan(const OptimizeResult& result) {
 
 namespace {
 
+/// First arena block of a decoded plan, per payload byte. A plan's arena
+/// holds its nodes and payload objects, which are larger in memory than on
+/// the wire (a node record of ~60 bytes becomes a 192-byte PlanNode, a
+/// 3-byte key set a 144-byte KeySet). The factor covers the serve_churn
+/// and plan_serde_test plans in one block; an unusual blob that needs more
+/// only chains a second block.
+constexpr size_t kDecodeArenaBytesPerPayloadByte = 6;
+/// Cap on that first block (the DP arena's largest block size): a blob
+/// claims its size before any of it parses, so a hostile one must not
+/// reserve more up front than an ordinary block.
+constexpr size_t kDecodeArenaMaxFirstBlock = size_t{1} << 20;
+
 /// A u8 that must be exactly 0 or 1: anything else is rejected so every
 /// accepted blob is in canonical form (re-encode byte-identity would
 /// otherwise silently normalize a 2 into a 1).
@@ -325,38 +340,34 @@ int ReadInt(BinReader* r) {
   return static_cast<int>(v);
 }
 
-/// Element count for a sequence whose elements occupy >= 1 byte each: any
-/// count exceeding the remaining bytes is structurally impossible, so it
-/// is rejected *before* any allocation sized by it.
-uint32_t ReadCount(BinReader* r) {
+/// Element count for a sequence whose elements occupy at least
+/// `min_bytes` each on the wire: a count whose elements cannot fit the
+/// remaining bytes is structurally impossible, so it is rejected *before*
+/// anything is reserved from it. That makes reserving from an accepted
+/// count safe: it never exceeds what the bytes could really hold.
+uint32_t ReadCount(BinReader* r, size_t min_bytes) {
   uint32_t n = r->ReadVarint32();
-  if (n > r->remaining()) r->Fail();
-  return n;
+  if (n > r->remaining() / min_bytes) r->Fail();
+  return r->ok() ? n : 0;
 }
 
 std::string ReadStr(BinReader* r) { return r->ReadLengthPrefixed(); }
 
-/// Table reference: 0 = null, else 1-based index into `table`.
-template <typename T>
-const T* ReadRef(BinReader* r, const std::vector<const T*>& table) {
-  uint32_t ref = r->ReadVarint32();
-  if (ref == 0) return nullptr;
-  if (ref > table.size()) {
-    r->Fail();
-    return nullptr;
-  }
-  return table[ref - 1];
+void ReadStrs(BinReader* r, std::vector<std::string>* out) {
+  uint32_t n = ReadCount(r, 1);
+  out->reserve(n);
+  for (uint32_t i = 0; i < n && r->ok(); ++i) out->push_back(ReadStr(r));
 }
 
-bool ReadKeySet(BinReader* r, KeySet* out) {
-  uint32_t n = ReadCount(r);
+void ReadKeySet(BinReader* r, KeySet* out) {
+  uint32_t n = ReadCount(r, 2);
   if (r->failed() || n > kMaxKeysPerPlan) {
     r->Fail();
-    return false;
+    return;
   }
   std::array<AttrSet, kMaxKeysPerPlan> raw{};
   for (uint32_t i = 0; i < n; ++i) raw[i] = ReadSet(r);
-  if (r->failed()) return false;
+  if (r->failed()) return;
   KeySet ks;
   for (uint32_t i = 0; i < n; ++i) ks.Insert(raw[i]);
   // Canonical-form check: Insert() sorts and minimizes, so a round-tripped
@@ -364,130 +375,108 @@ bool ReadKeySet(BinReader* r, KeySet* out) {
   // canonical (sorted, minimal) form genuine encodes always have.
   if (ks.size() != n) {
     r->Fail();
-    return false;
+    return;
   }
   for (uint32_t i = 0; i < n; ++i) {
     if (ks[i] != raw[i]) {
       r->Fail();
-      return false;
+      return;
     }
   }
   *out = ks;
-  return true;
 }
 
-AggregateFunction ReadAggregateFunction(BinReader* r) {
-  AggregateFunction f;
-  f.output = ReadStr(r);
-  f.kind = static_cast<AggKind>(ReadEnum(r, kMaxAggKind));
-  f.arg = ReadInt(r);
-  f.distinct = ReadBool(r);
-  return f;
-}
-
-CrossingInfo ReadCrossing(BinReader* r) {
-  CrossingInfo ci;
-  uint32_t nops = ReadCount(r);
+void ReadCrossing(BinReader* r, CrossingInfo* ci) {
+  uint32_t nops = ReadCount(r, 1);
+  ci->op_indices.reserve(nops);
   for (uint32_t i = 0; i < nops && r->ok(); ++i) {
-    ci.op_indices.push_back(ReadInt(r));
+    ci->op_indices.push_back(ReadInt(r));
   }
-  uint32_t neqs = ReadCount(r);
+  uint32_t neqs = ReadCount(r, 2);
   std::vector<AttrEquality> eqs;
+  eqs.reserve(neqs);
   for (uint32_t i = 0; i < neqs && r->ok(); ++i) {
     AttrEquality eq;
     eq.left_attr = ReadInt(r);
     eq.right_attr = ReadInt(r);
     eqs.push_back(eq);
   }
-  ci.predicate = JoinPredicate(std::move(eqs));
-  ci.selectivity = r->ReadF64();
-  uint32_t naggs = ReadCount(r);
+  ci->predicate = JoinPredicate(std::move(eqs));
+  ci->selectivity = r->ReadF64();
+  uint32_t naggs = ReadCount(r, 4);
+  ci->groupjoin_aggs.reserve(naggs);
   for (uint32_t i = 0; i < naggs && r->ok(); ++i) {
-    ci.groupjoin_aggs.push_back(ReadAggregateFunction(r));
+    AggregateFunction& f = ci->groupjoin_aggs.emplace_back();
+    f.output = ReadStr(r);
+    f.kind = static_cast<AggKind>(ReadEnum(r, kMaxAggKind));
+    f.arg = ReadInt(r);
+    f.distinct = ReadBool(r);
   }
-  return ci;
 }
 
-std::vector<SymbolicDefault> ReadDefaults(BinReader* r) {
-  std::vector<SymbolicDefault> v;
-  uint32_t n = ReadCount(r);
+void ReadDefaults(BinReader* r, std::vector<SymbolicDefault>* v) {
+  uint32_t n = ReadCount(r, 2);
+  v->reserve(n);
   for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    SymbolicDefault d;
+    SymbolicDefault& d = v->emplace_back();
     d.column = ReadStr(r);
     d.one = ReadBool(r);
-    v.push_back(std::move(d));
   }
-  return v;
 }
 
-std::vector<ExecAggregate> ReadExecAggs(BinReader* r) {
-  std::vector<ExecAggregate> v;
-  uint32_t n = ReadCount(r);
+void ReadExecAggs(BinReader* r, std::vector<ExecAggregate>* v) {
+  uint32_t n = ReadCount(r, 5);
+  v->reserve(n);
   for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    ExecAggregate a;
+    ExecAggregate& a = v->emplace_back();
     a.output = ReadStr(r);
     a.kind = static_cast<AggKind>(ReadEnum(r, kMaxAggKind));
     a.arg = ReadStr(r);
     a.distinct = ReadBool(r);
-    uint32_t nm = ReadCount(r);
-    for (uint32_t j = 0; j < nm && r->ok(); ++j) {
-      a.multipliers.push_back(ReadStr(r));
-    }
-    v.push_back(std::move(a));
+    ReadStrs(r, &a.multipliers);
   }
-  return v;
 }
 
-FinalMapInfo ReadFinalMap(BinReader* r) {
-  FinalMapInfo fm;
-  uint32_t ne = ReadCount(r);
+void ReadFinalMap(BinReader* r, FinalMapInfo* fm) {
+  uint32_t ne = ReadCount(r, 6);
+  fm->exprs.reserve(ne);
   for (uint32_t i = 0; i < ne && r->ok(); ++i) {
-    MapExpr e;
+    MapExpr& e = fm->exprs.emplace_back();
     e.output = ReadStr(r);
     e.kind = static_cast<MapExpr::Kind>(ReadEnum(r, kMaxMapKind));
     e.arg = ReadStr(r);
     e.arg2 = ReadStr(r);
-    uint32_t nc = ReadCount(r);
-    for (uint32_t j = 0; j < nc && r->ok(); ++j) {
-      e.counts.push_back(ReadStr(r));
-    }
+    ReadStrs(r, &e.counts);
     e.const_value = r->ReadZigzag();
-    fm.exprs.push_back(std::move(e));
   }
-  uint32_t ncols = ReadCount(r);
-  for (uint32_t i = 0; i < ncols && r->ok(); ++i) {
-    fm.output_columns.push_back(ReadStr(r));
-  }
-  return fm;
+  ReadStrs(r, &fm->output_columns);
 }
 
-FdSet ReadFdSet(BinReader* r) {
-  FdSet fds;
-  uint32_t n = ReadCount(r);
+void ReadFdSet(BinReader* r, FdSet* fds) {
+  uint32_t n = ReadCount(r, 4);
+  fds->Reserve(n);
   for (uint32_t i = 0; i < n && r->ok(); ++i) {
     AttrSet lhs = ReadSet(r);
     AttrSet rhs = ReadSet(r);
-    fds.Add(lhs, rhs);
+    fds->Add(lhs, rhs);
   }
-  return fds;
 }
 
-PlanAggState ReadAggState(BinReader* r) {
-  PlanAggState st;
-  uint32_t ns = ReadCount(r);
+void ReadAggState(BinReader* r, PlanAggState* st) {
+  uint32_t ns = ReadCount(r, 4);
+  st->slots.reserve(ns);
   for (uint32_t i = 0; i < ns && r->ok(); ++i) {
-    AggSlot s;
+    AggSlot& s = st->slots.emplace_back();
     s.query_index = ReadInt(r);
     s.partialized = ReadBool(r);
     s.partial_column = ReadStr(r);
     s.home_count = ReadInt(r);
-    st.slots.push_back(std::move(s));
   }
-  uint32_t nc = ReadCount(r);
+  uint32_t nc = ReadCount(r, 1);
+  st->counts.reserve(nc);
   for (uint32_t i = 0; i < nc && r->ok(); ++i) {
-    st.counts.push_back(CountColumn{ReadStr(r)});
+    st->counts.push_back(CountColumn{ReadStr(r)});
   }
-  return st;
 }
 
 OptimizeStats ReadStats(BinReader* r) {
@@ -505,6 +494,97 @@ OptimizeStats ReadStats(BinReader* r) {
   s.dp_workers = ReadInt(r);
   s.cache_tier = ReadEnum(r, kMaxCacheTier);
   return s;
+}
+
+/// One decoded payload table. The encoder registers payloads in node
+/// order, so a canonical blob references every entry, and references each
+/// for the first time in table order; Ref() refuses anything else, which
+/// is what keeps encode(decode(blob)) == blob for every accepted blob.
+template <typename T>
+class DecodedTable {
+ public:
+  /// Reads the entry count, then each entry with `read_one`, allocated in
+  /// `arena`.
+  template <typename ReadOne>
+  void Read(BinReader* r, Arena& arena, size_t min_entry_bytes,
+            ReadOne read_one) {
+    uint32_t n = ReadCount(r, min_entry_bytes);
+    entries_.reserve(n);
+    for (uint32_t i = 0; i < n && r->ok(); ++i) {
+      T* entry = arena.New<T>();
+      read_one(r, entry);
+      entries_.push_back(entry);
+    }
+  }
+
+  /// Reads a wire reference: 0 = null, else 1-based index. An entry past
+  /// the next unreferenced one is out of order (or out of range).
+  const T* Ref(BinReader* r) {
+    uint32_t ref = r->ReadVarint32();
+    if (ref == 0) return nullptr;
+    if (ref > entries_.size() || ref > referenced_ + 1) {
+      r->Fail();
+      return nullptr;
+    }
+    if (ref == referenced_ + 1) ++referenced_;
+    return entries_[ref - 1];
+  }
+
+  /// True iff every entry was referenced.
+  bool AllReferenced() const { return referenced_ == entries_.size(); }
+
+  const std::vector<const T*>& entries() const { return entries_; }
+
+ private:
+  std::vector<const T*> entries_;
+  size_t referenced_ = 0;
+};
+
+/// True iff two entries of the key-set table are equal. The encoder dedups
+/// key sets by content, so a canonical table has none; an open-addressed
+/// set over KeySet::Hash keeps the check linear in the table size.
+bool HasDuplicateKeySet(const std::vector<const KeySet*>& keysets) {
+  if (keysets.size() < 2) return false;
+  size_t slots = std::bit_ceil(keysets.size() * 2);
+  std::vector<uint32_t> table(slots, 0);  // 0 = empty, else index + 1
+  for (uint32_t i = 0; i < keysets.size(); ++i) {
+    size_t at = keysets[i]->Hash() & (slots - 1);
+    for (; table[at] != 0; at = (at + 1) & (slots - 1)) {
+      if (*keysets[table[at] - 1] == *keysets[i]) return true;
+    }
+    table[at] = i + 1;
+  }
+  return false;
+}
+
+/// True iff the node table is exactly what the encoder's CollectNodes walk
+/// emits from the root (the last node): every node reachable, each once,
+/// in postorder with the left child first. `children` holds each node's
+/// 1-based child references (0 = none), already checked to point at
+/// earlier nodes. Emission must follow table order, so "already emitted"
+/// is simply an index below `next`.
+bool IsCanonicalPostorder(
+    const std::vector<std::array<uint32_t, 2>>& children) {
+  const uint32_t n = static_cast<uint32_t>(children.size());
+  std::vector<uint32_t> stack;  // node index << 1 | expanded
+  stack.reserve(3 * static_cast<size_t>(n) + 1);
+  stack.push_back((n - 1) << 1);
+  uint32_t next = 0;
+  while (!stack.empty()) {
+    uint32_t frame = stack.back();
+    stack.pop_back();
+    uint32_t i = frame >> 1;
+    if (i < next) continue;
+    if ((frame & 1) != 0) {
+      if (i != next) return false;
+      ++next;
+      continue;
+    }
+    stack.push_back(frame | 1);
+    if (children[i][1] != 0) stack.push_back((children[i][1] - 1) << 1);
+    if (children[i][0] != 0) stack.push_back((children[i][0] - 1) << 1);
+  }
+  return next == n;
 }
 
 bool FailDecode(std::string* error, const char* message) {
@@ -540,57 +620,45 @@ bool DecodePlan(std::string_view blob, OptimizeResult* out,
   bool has_plan = ReadBool(&r);
   if (r.failed()) return FailDecode(error, "malformed stats block");
 
-  result.arena = std::make_shared<PlanArena>();
+  // One right-sized, untouched block for the whole revived plan.
+  result.arena = std::make_shared<PlanArena>(
+      std::min(payload.size() * kDecodeArenaBytesPerPayloadByte,
+               kDecodeArenaMaxFirstBlock));
   if (has_plan) {
     Arena& arena = result.arena->arena();
 
-    std::vector<const KeySet*> keysets;
-    uint32_t n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      KeySet ks;
-      if (!ReadKeySet(&r, &ks)) break;
-      keysets.push_back(result.arena->InternKeys(ks));
-    }
-    std::vector<const CrossingInfo*> crossings;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      crossings.push_back(arena.New<CrossingInfo>(ReadCrossing(&r)));
-    }
-    std::vector<const std::vector<SymbolicDefault>*> defaults;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      defaults.push_back(
-          arena.New<std::vector<SymbolicDefault>>(ReadDefaults(&r)));
-    }
-    std::vector<const std::vector<ExecAggregate>*> execaggs;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      execaggs.push_back(
-          arena.New<std::vector<ExecAggregate>>(ReadExecAggs(&r)));
-    }
-    std::vector<const FinalMapInfo*> finalmaps;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      finalmaps.push_back(arena.New<FinalMapInfo>(ReadFinalMap(&r)));
-    }
-    std::vector<const FdSet*> fdsets;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      fdsets.push_back(arena.New<FdSet>(ReadFdSet(&r)));
-    }
-    std::vector<const PlanAggState*> aggstates;
-    n = ReadCount(&r);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      aggstates.push_back(arena.New<PlanAggState>(ReadAggState(&r)));
-    }
+    // Key sets are allocated as they are, not interned: the encoder's
+    // content dedup already made them distinct, which the check after the
+    // tables enforces.
+    DecodedTable<KeySet> keysets;
+    keysets.Read(&r, arena, 1, ReadKeySet);
+    DecodedTable<CrossingInfo> crossings;
+    crossings.Read(&r, arena, 11, ReadCrossing);
+    DecodedTable<std::vector<SymbolicDefault>> defaults;
+    defaults.Read(&r, arena, 1, ReadDefaults);
+    DecodedTable<std::vector<ExecAggregate>> execaggs;
+    execaggs.Read(&r, arena, 1, ReadExecAggs);
+    DecodedTable<FinalMapInfo> finalmaps;
+    finalmaps.Read(&r, arena, 2, ReadFinalMap);
+    DecodedTable<FdSet> fdsets;
+    fdsets.Read(&r, arena, 1, ReadFdSet);
+    DecodedTable<PlanAggState> aggstates;
+    aggstates.Read(&r, arena, 2, ReadAggState);
     if (r.failed()) return FailDecode(error, "malformed payload table");
+    if (HasDuplicateKeySet(keysets.entries())) {
+      return FailDecode(error, "duplicate key set");
+    }
 
-    uint32_t node_count = ReadCount(&r);
+    // A node record takes at least 49 bytes: 13 one-byte fields, two
+    // two-byte sets and four doubles.
+    uint32_t node_count = ReadCount(&r, 49);
     if (r.failed() || node_count == 0) {
       return FailDecode(error, "malformed node table");
     }
     std::vector<PlanPtr> nodes;
     nodes.reserve(node_count);
+    std::vector<std::array<uint32_t, 2>> children;
+    children.reserve(node_count);
     for (uint32_t i = 0; i < node_count && r.ok(); ++i) {
       PlanNode* pn = result.arena->NewNode();
       pn->op = static_cast<PlanOp>(ReadEnum(&r, kMaxPlanOp));
@@ -603,27 +671,39 @@ bool DecodePlan(std::string_view blob, OptimizeResult* out,
         r.Fail();
         break;
       }
+      children.push_back({left_ref, right_ref});
       pn->left = left_ref == 0 ? nullptr : nodes[left_ref - 1];
       pn->right = right_ref == 0 ? nullptr : nodes[right_ref - 1];
-      pn->crossing = ReadRef(&r, crossings);
-      pn->left_defaults_ = ReadRef(&r, defaults);
-      pn->right_defaults_ = ReadRef(&r, defaults);
+      // Payload references in the encoder's registration order.
+      pn->crossing = crossings.Ref(&r);
+      pn->left_defaults_ = defaults.Ref(&r);
+      pn->right_defaults_ = defaults.Ref(&r);
       pn->group_by = ReadSet(&r);
-      pn->group_aggs_ = ReadRef(&r, execaggs);
-      pn->final_map_ = ReadRef(&r, finalmaps);
+      pn->group_aggs_ = execaggs.Ref(&r);
+      pn->final_map_ = finalmaps.Ref(&r);
       pn->cardinality = r.ReadF64();
       pn->raw_cardinality = r.ReadF64();
       pn->pregroup_cardinality = r.ReadF64();
       pn->cost = r.ReadF64();
-      pn->keys_ = ReadRef(&r, keysets);
+      pn->keys_ = keysets.Ref(&r);
       pn->duplicate_free = ReadBool(&r);
-      pn->fds_ = ReadRef(&r, fdsets);
-      pn->agg_state_ = ReadRef(&r, aggstates);
+      pn->fds_ = fdsets.Ref(&r);
+      pn->agg_state_ = aggstates.Ref(&r);
       nodes.push_back(pn);
     }
     uint32_t root_ref = r.ReadVarint32();
     if (r.failed() || root_ref == 0 || root_ref > nodes.size()) {
       return FailDecode(error, "malformed node table");
+    }
+    if (!keysets.AllReferenced() || !crossings.AllReferenced() ||
+        !defaults.AllReferenced() || !execaggs.AllReferenced() ||
+        !finalmaps.AllReferenced() || !fdsets.AllReferenced() ||
+        !aggstates.AllReferenced()) {
+      return FailDecode(error, "unreferenced payload entry");
+    }
+    // The root is the walk's last node, and the walk covers the table.
+    if (root_ref != nodes.size() || !IsCanonicalPostorder(children)) {
+      return FailDecode(error, "node table is not the root's postorder");
     }
     result.plan = nodes[root_ref - 1];
   }

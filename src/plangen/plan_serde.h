@@ -31,7 +31,11 @@
 // sweeps under ASan pin this).
 //
 // Determinism: encoding is a pure function of the plan structure —
-// encode(decode(blob)) == blob byte-for-byte. This is what makes blobs
+// encode(decode(blob)) == blob byte-for-byte, for every blob the decoder
+// accepts: it refuses any structure the encoder would not have written (a
+// payload entry no node references or first referenced out of order, a
+// duplicate key set, a node outside the root's postorder), which is
+// what would otherwise re-encode differently. This is what makes blobs
 // usable as cache values across processes (plangen/persistent_cache.h)
 // and, later, as wire format for shipping plans between optimizer
 // daemons.
@@ -57,8 +61,9 @@ inline constexpr uint32_t kPlanBlobVersion = 1;
 /// structurally identical results encode to identical bytes.
 std::string EncodePlan(const OptimizeResult& result);
 
-/// Decodes a blob produced by EncodePlan into a fresh PlanArena. On
-/// success returns true and fills `*out` (plan null iff encoded as null).
+/// Decodes a blob produced by EncodePlan into a fresh PlanArena, sized
+/// from the payload length. On success returns true and fills `*out`
+/// (plan null iff encoded as null).
 /// On any malformed input — wrong magic, version skew, checksum mismatch,
 /// truncation, out-of-range enum/index/count, trailing bytes — returns
 /// false, leaves `*out` untouched, and (if non-null) sets `*error` to a

@@ -186,6 +186,10 @@ uint64_t OverlayHash(const StatsOverlay& overlay) {
                           overlay.attr_distinct.size() +
                           overlay.op_selectivity.size()));
   AppendOverlay(overlay, &bytes);
+  return EncodedOverlayHash(bytes);
+}
+
+uint64_t EncodedOverlayHash(std::string_view bytes) {
   return HashBytes(bytes.data(), bytes.size(),
                    /*seed=*/0xa4093822299f31d0ull);
 }

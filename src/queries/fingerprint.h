@@ -178,6 +178,11 @@ bool SameStats(const StatsOverlay& a, const StatsOverlay& b);
 /// the persistent tier; never a correctness witness).
 uint64_t OverlayHash(const StatsOverlay& overlay);
 
+/// OverlayHash of an overlay given in its AppendOverlay encoding, without
+/// parsing it: the persistent tier checks a stored overlay against the
+/// hash it indexed the record under.
+uint64_t EncodedOverlayHash(std::string_view bytes);
+
 /// Pure composition: combined = structural bytes + overlay bytes, hashed.
 /// Combined equality == structural equality AND bit-equal statistics —
 /// exactly the pre-split fingerprint contract.

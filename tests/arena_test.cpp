@@ -1,6 +1,7 @@
 // The bump arena underneath the plan memory model: growth, alignment,
-// destructor bookkeeping, Reset() recycling, and the PlanArena KeySet
-// interner (pointer-equality contract used by the dominance fast path).
+// destructor bookkeeping, Reset() recycling, sized versus eager first
+// blocks, and the PlanArena KeySet interner (pointer-equality contract
+// used by the dominance fast path).
 
 #include "common/arena.h"
 
@@ -99,6 +100,27 @@ TEST(Arena, ResetRecyclesSteadyStateBlock) {
   for (size_t i = 0; i < fits; ++i) arena.New<uint64_t>(i);
   EXPECT_EQ(arena.num_blocks(), 1u);
   EXPECT_EQ(arena.bytes_reserved(), reserved);
+}
+
+TEST(Arena, SizedArenaHoldsExactlyItsFirstBlock) {
+  // A sized arena reserves just what it was given (no 16 KiB minimum),
+  // fills it without a second block, and grows like an eager arena once
+  // full.
+  Arena arena(1000);
+  EXPECT_EQ(arena.num_blocks(), 1u);
+  EXPECT_EQ(arena.bytes_reserved(), 1000u);
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  for (int i = 0; i < 125; ++i) arena.New<uint64_t>(i);
+  EXPECT_EQ(arena.num_blocks(), 1u);
+  EXPECT_EQ(arena.bytes_used(), 1000u);
+  uint64_t* overflow = arena.New<uint64_t>(7);
+  EXPECT_EQ(*overflow, 7u);
+  EXPECT_EQ(arena.num_blocks(), 2u);
+  EXPECT_EQ(arena.bytes_reserved(), 1000u + (16u << 10));
+
+  PlanArena plans(512);
+  EXPECT_EQ(plans.arena().bytes_reserved(), 512u);
+  EXPECT_EQ(Arena(0).bytes_reserved(), 1u);  // never an empty block
 }
 
 TEST(PlanArena, InternKeysDeduplicates) {

@@ -53,6 +53,20 @@ TEST(Catalog, AttributesOfRelSet) {
   EXPECT_TRUE(attrs.Contains(1));
 }
 
+TEST(Catalog, AttributesOfRelSetAmongAttrs) {
+  // The restricted form equals among ∩ AttributesOf(rels) on every pair.
+  Catalog c = TwoRelations();
+  for (uint64_t rels_bits = 0; rels_bits < 4; ++rels_bits) {
+    for (uint64_t among_bits = 0; among_bits < 8; ++among_bits) {
+      RelSet rels(rels_bits);
+      AttrSet among(among_bits);
+      EXPECT_EQ(c.AttributesOf(rels, among),
+                among.Intersect(c.AttributesOf(rels)))
+          << rels_bits << " " << among_bits;
+    }
+  }
+}
+
 TEST(Catalog, DeclareKeyMarksDuplicateFree) {
   Catalog c = TwoRelations();
   EXPECT_TRUE(c.relation(0).duplicate_free);

@@ -80,6 +80,51 @@ TEST(Keys, InnerJoinLeftKeyOnly) {
   EXPECT_FALSE(HasKeySubset(k.keys, Set({0})));
 }
 
+TEST(Keys, UnchangedChildKeysPassThroughByPointer) {
+  // When κ is one child's key set unchanged, the result names that child's
+  // interned set, so MakeJoin reuses the pointer instead of re-interning.
+  Fixture f;
+  f.left_keys = {Set({0})};
+  f.left.duplicate_free = true;
+  f.right_keys = {Set({2})};
+  f.right.duplicate_free = true;
+  JoinPredicate key_x;  // R0.k = R1.x: left key only -> right keys survive
+  key_x.AddEquality(0, 3);
+  JoinPredicate x_key;  // R0.x = R1.k: right key only -> left keys survive
+  x_key.AddEquality(1, 2);
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right, key_x)
+                .passthrough,
+            &f.right_keys);
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right, x_key)
+                .passthrough,
+            &f.left_keys);
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kLeftOuter, f.catalog, f.left, f.right,
+                            x_key)
+                .passthrough,
+            &f.left_keys);
+  for (PlanOp op : {PlanOp::kLeftSemi, PlanOp::kLeftAnti,
+                    PlanOp::kGroupJoin}) {
+    KeyProperties k =
+        ComputeJoinKeys(op, f.catalog, f.left, f.right, f.PredXX());
+    EXPECT_EQ(k.passthrough, &f.left_keys);
+    EXPECT_TRUE(k.keys == f.left_keys);
+  }
+  // Computed sets carry no pointer: both keyed (merged), neither keyed
+  // (pairwise unions), full outer join.
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
+                            f.PredKK())
+                .passthrough,
+            nullptr);
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
+                            f.PredXX())
+                .passthrough,
+            nullptr);
+  EXPECT_EQ(ComputeJoinKeys(PlanOp::kFullOuter, f.catalog, f.left, f.right,
+                            f.PredKK())
+                .passthrough,
+            nullptr);
+}
+
 TEST(Keys, InnerJoinNoKeysCombines) {
   Fixture f;
   f.left_keys = {Set({0})};

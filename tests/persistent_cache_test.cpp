@@ -17,7 +17,13 @@
 //     its map (mmap_segments drops, Open does not map it again) while
 //     every key still serves its newest plan bit for bit;
 //   * concurrency — parallel Get/Put against the write-behind path, and
-//     Gets racing the supersedes that unmap their segments.
+//     Gets racing the supersedes that unmap their segments;
+//   * the one-read Get — a byte flipped in an indexed record's key,
+//     overlay or blob, on the mapped and on the pread path, is a miss or
+//     a decode failure, never a serve;
+//   * cross-build directories — a committed directory written by an
+//     earlier build of the same record and blob formats serves here
+//     (EmitGoldenDirectory rewrites it).
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -767,6 +773,228 @@ TEST(PersistentCache, GetRacingSupersedeKeepsItsMap) {
 
   EXPECT_EQ(cache->Snapshot().mmap_segments, 0u);
   for (const PlannedQuery& d : drifted) ExpectServes(cache.get(), d);
+}
+
+// ---------------------------------------------------------------------------
+// The one-read Get: damage after indexing is never served.
+// ---------------------------------------------------------------------------
+
+/// One record's place in a segment file.
+struct RecordSpan {
+  off_t offset = 0;  ///< of the record header
+  uint32_t key_len = 0;
+  uint32_t overlay_len = 0;
+  uint32_t blob_len = 0;
+  std::string key;
+};
+
+/// Walks a segment file's records (header, then records back to back).
+std::vector<RecordSpan> ReadRecordSpans(const std::string& path) {
+  std::string file = ReadFile(path);
+  std::vector<RecordSpan> spans;
+  size_t pos = 8;  // segment magic + version
+  while (pos + 16 <= file.size()) {
+    RecordSpan r;
+    r.offset = static_cast<off_t>(pos);
+    std::memcpy(&r.key_len, file.data() + pos + 4, 4);
+    std::memcpy(&r.overlay_len, file.data() + pos + 8, 4);
+    std::memcpy(&r.blob_len, file.data() + pos + 12, 4);
+    r.key = file.substr(pos + 16, r.key_len);
+    spans.push_back(r);
+    pos += 16 + static_cast<size_t>(r.key_len) + r.overlay_len + r.blob_len;
+  }
+  EXPECT_EQ(pos, file.size()) << path;
+  return spans;
+}
+
+/// The segment file and span of `fp`'s record.
+std::pair<std::string, RecordSpan> FindRecord(const std::string& dir,
+                                              const QueryFingerprint& fp) {
+  for (const std::string& path : ListSegments(dir)) {
+    for (const RecordSpan& r : ReadRecordSpans(path)) {
+      if (r.key == fp.canonical) return {path, r};
+    }
+  }
+  ADD_FAILURE() << "no record for key";
+  return {};
+}
+
+/// Flips every byte of `victim`'s key, overlay and blob in turn, each
+/// flip undone before the next. Every Get of the victim must miss (a
+/// key flip) or count a decode failure (an overlay or blob flip); the
+/// other keys keep serving their own plans throughout.
+void ExpectDamageNeverServes(PersistentPlanCache* cache,
+                             const std::string& dir,
+                             const PlannedQuery& victim,
+                             const std::vector<const PlannedQuery*>& others,
+                             bool via_mmap) {
+  auto [path, span] = FindRecord(dir, victim.fp);
+  ASSERT_FALSE(path.empty());
+  const off_t body = span.offset + 16;
+  const off_t overlay_at = body + span.key_len;
+  const off_t blob_at = overlay_at + span.overlay_len;
+  const off_t end = blob_at + span.blob_len;
+
+  PersistentCacheStats before = cache->Snapshot();
+  ExpectServes(cache, victim);
+  PersistentCacheStats after = cache->Snapshot();
+  EXPECT_EQ(after.mmap_serves - before.mmap_serves, via_mmap ? 1u : 0u);
+  EXPECT_EQ(after.pread_serves - before.pread_serves, via_mmap ? 0u : 1u);
+
+  uint64_t key_flips = 0;
+  uint64_t checked_flips = 0;
+  for (off_t at = body; at < end; ++at) {
+    FlipByteAt(path, at);
+    PersistentCacheStats s0 = cache->Snapshot();
+    StatsOverlay overlay;
+    OptimizeResult out;
+    EXPECT_FALSE(cache->Get(victim.fp, &overlay, &out))
+        << "flipped byte " << (at - body) << " of the record body served";
+    EXPECT_EQ(out.plan, nullptr);
+    PersistentCacheStats s1 = cache->Snapshot();
+    EXPECT_EQ(s1.hits, s0.hits);
+    EXPECT_EQ(s1.misses, s0.misses + 1);
+    if (at < overlay_at) {
+      EXPECT_EQ(s1.decode_failures, s0.decode_failures) << "key byte " << at;
+      ++key_flips;
+    } else {
+      EXPECT_EQ(s1.decode_failures, s0.decode_failures + 1)
+          << "overlay/blob byte " << (at - overlay_at);
+      ++checked_flips;
+    }
+    FlipByteAt(path, at);  // undo
+  }
+  EXPECT_EQ(key_flips, span.key_len);
+  EXPECT_EQ(checked_flips,
+            static_cast<uint64_t>(span.overlay_len) + span.blob_len);
+
+  // The restored record serves again, on the same path, and nothing else
+  // was disturbed.
+  before = cache->Snapshot();
+  ExpectServes(cache, victim);
+  after = cache->Snapshot();
+  EXPECT_EQ(after.mmap_serves - before.mmap_serves, via_mmap ? 1u : 0u);
+  for (const PlannedQuery* p : others) ExpectServes(cache, *p);
+}
+
+TEST(PersistentCache, DamagedRecordIsNeverServedFromAMap) {
+  TempDir dir;
+  PersistentCacheOptions opts;
+  opts.directory = dir.path();
+  opts.write_behind = false;
+  opts.max_segment_bytes = 1;  // one record per segment
+
+  std::vector<PlannedQuery> planned;
+  for (int i = 0; i < 3; ++i) planned.push_back(PlanNth(i));
+  {
+    auto cache = OpenOrDie(opts);
+    for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
+  }
+  // Reopened with room: the last segment is active, the first two are
+  // sealed and mapped; planned[0] serves from its mapping.
+  opts.max_segment_bytes = 1u << 20;
+  auto cache = OpenOrDie(opts);
+  ASSERT_EQ(cache->Snapshot().mmap_segments, 2u);
+  ExpectDamageNeverServes(cache.get(), dir.path(), planned[0],
+                          {&planned[1], &planned[2]}, /*via_mmap=*/true);
+}
+
+TEST(PersistentCache, DamagedRecordIsNeverServedThroughPread) {
+  TempDir dir;
+  PersistentCacheOptions opts;
+  opts.directory = dir.path();
+  opts.write_behind = false;
+
+  std::vector<PlannedQuery> planned;
+  for (int i = 0; i < 3; ++i) planned.push_back(PlanNth(i));
+  auto cache = OpenOrDie(opts);
+  for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
+  // One active segment: every record is read with pread.
+  ASSERT_EQ(cache->Snapshot().mmap_segments, 0u);
+  ExpectDamageNeverServes(cache.get(), dir.path(), planned[1],
+                          {&planned[0], &planned[2]}, /*via_mmap=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-build directories.
+// ---------------------------------------------------------------------------
+
+constexpr int kGoldenQueries = 4;
+
+/// Copies every file of `from` into `to` (Open may truncate the newest
+/// segment's tail, so the committed directory is never opened in place).
+void CopyDirectory(const std::string& from, const std::string& to) {
+  DIR* d = opendir(from.c_str());
+  ASSERT_NE(d, nullptr) << from;
+  while (dirent* e = readdir(d)) {
+    std::string name = e->d_name;
+    if (name == "." || name == "..") continue;
+    std::string bytes = ReadFile(from + "/" + name);
+    int fd = open((to + "/" + name).c_str(), O_CREAT | O_WRONLY | O_TRUNC,
+                  0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    close(fd);
+  }
+  closedir(d);
+}
+
+/// Writes the golden directory: the first kGoldenQueries queries, planned
+/// and Put. Run it (into an emptied tests/corpus/l2_golden) when the
+/// record, blob or key format changes on purpose, with
+/// EADP_L2_EMIT_DIR=tests/corpus/l2_golden and
+/// --gtest_filter='PersistentCache.EmitGoldenDirectory'.
+TEST(PersistentCache, EmitGoldenDirectory) {
+  const char* out = std::getenv("EADP_L2_EMIT_DIR");
+  if (out == nullptr) {
+    GTEST_SKIP() << "set EADP_L2_EMIT_DIR=<empty dir> to write the records";
+  }
+  PersistentCacheOptions opts;
+  opts.directory = out;
+  opts.write_behind = false;
+  auto cache = OpenOrDie(opts);
+  ASSERT_EQ(cache->Snapshot().records, 0u) << "emit into an empty directory";
+  for (int i = 0; i < kGoldenQueries; ++i) {
+    PlannedQuery p = PlanNth(i);
+    cache->Put(p.fp, p.overlay, p.result);
+  }
+  cache->Flush();
+}
+
+TEST(PersistentCache, GoldenDirectoryFromAnEarlierBuildServes) {
+  // $EADP_L2_GOLDEN_DIR points the check at another build's directory.
+  const char* override_dir = std::getenv("EADP_L2_GOLDEN_DIR");
+  const std::string golden =
+      override_dir != nullptr ? override_dir
+                              : std::string(EADP_CORPUS_DIR) + "/l2_golden";
+  TempDir dir;
+  CopyDirectory(golden, dir.path());
+  PersistentCacheOptions opts;
+  opts.directory = dir.path();
+  opts.write_behind = false;
+  auto cache = OpenOrDie(opts);
+  PersistentCacheStats s = cache->Snapshot();
+  EXPECT_EQ(s.records, static_cast<size_t>(kGoldenQueries));
+  EXPECT_EQ(s.torn_records_dropped, 0u);
+  EXPECT_EQ(s.skipped_segments, 0u);
+  for (int i = 0; i < kGoldenQueries; ++i) {
+    // The stored plan is the one this build plans, under the same key and
+    // statistics, and re-encodes to the stored bytes.
+    PlannedQuery p = PlanNth(i);
+    ExpectServes(cache.get(), p);
+    StatsOverlay overlay;
+    OptimizeResult out;
+    ASSERT_TRUE(cache->Get(p.fp, &overlay, &out));
+    EXPECT_TRUE(SameStats(overlay, p.overlay));
+    auto [path, span] = FindRecord(dir.path(), p.fp);
+    std::string stored = ReadFile(path).substr(
+        static_cast<size_t>(span.offset) + 16 + span.key_len +
+            span.overlay_len,
+        span.blob_len);
+    EXPECT_EQ(EncodePlan(out), stored);
+  }
+  EXPECT_EQ(cache->Snapshot().decode_failures, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 //     rejected (CRC or structure), every truncated prefix is rejected,
 //     version skew refuses cleanly, random garbage never exhibits UB
 //     (the sweeps run unchanged under the ASan/UBSan CI legs);
+//   * canonical decodes — resealed blobs that would not re-encode to
+//     themselves are refused: an unreferenced or out-of-order payload
+//     entry, a duplicate key set, a node outside the root's postorder;
 //   * binio primitives — varint/zigzag round trips and the CRC-32 check
 //     vector.
 
@@ -497,6 +500,241 @@ TEST(PlanSerdeAdversarial, RawGarbageRejected) {
     }
     EXPECT_FALSE(DecodePlan(blob, &out));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Canonical decode: every accepted blob re-encodes to itself
+// ---------------------------------------------------------------------------
+
+/// Magic, version, CRC and length around `payload`, as EncodePlan seals.
+std::string Seal(const std::string& payload) {
+  std::string blob;
+  PutFixed32(&blob, kPlanBlobMagic);
+  PutFixed32(&blob, kPlanBlobVersion);
+  PutFixed32(&blob, Crc32(payload));
+  PutFixed32(&blob, static_cast<uint32_t>(payload.size()));
+  return blob + payload;
+}
+
+void PutRawSet(std::string* out, Bitset128 s) {
+  PutVarint64(out, s.low());
+  PutVarint64(out, s.high());
+}
+
+/// The encoding of a one-key KeySet.
+std::string KeySetEntry(AttrSet key) {
+  std::string e;
+  PutVarint32(&e, 1);
+  PutRawSet(&e, key);
+  return e;
+}
+
+/// The stats block EncodePlan writes for `stats` (the has-plan byte that
+/// follows it is dropped).
+std::string StatsBlock(const OptimizeStats& stats) {
+  OptimizeResult no_plan;
+  no_plan.stats = stats;
+  std::string payload = EncodePlan(no_plan).substr(16);
+  payload.pop_back();
+  return payload;
+}
+
+/// A real blob's payload split around its key-set table, the first table
+/// after the stats block and the has-plan byte.
+struct KeySetTable {
+  std::string before;                ///< stats block + has-plan byte
+  std::vector<std::string> entries;  ///< each entry's bytes
+  std::string after;                 ///< the other tables and the nodes
+};
+
+KeySetTable SplitKeySets(const OptimizeResult& r, const std::string& blob) {
+  std::string payload = blob.substr(16);
+  KeySetTable t;
+  t.before = payload.substr(0, StatsBlock(r.stats).size() + 1);
+  std::string_view rest = std::string_view(payload).substr(t.before.size());
+  BinReader reader(rest);
+  uint32_t n = reader.ReadVarint32();
+  for (uint32_t i = 0; i < n; ++i) {
+    size_t start = reader.position();
+    uint32_t keys = reader.ReadVarint32();
+    for (uint32_t k = 0; k < 2 * keys; ++k) reader.ReadVarint64();
+    t.entries.emplace_back(rest.substr(start, reader.position() - start));
+  }
+  EXPECT_TRUE(reader.ok());
+  t.after = std::string(rest.substr(reader.position()));
+  return t;
+}
+
+std::string JoinKeySets(const KeySetTable& t,
+                        const std::vector<std::string>& entries) {
+  std::string payload = t.before;
+  PutVarint32(&payload, static_cast<uint32_t>(entries.size()));
+  for (const std::string& e : entries) payload += e;
+  return Seal(payload + t.after);
+}
+
+/// The first 64 adaptive plans of the small corpus, with their blobs.
+std::vector<std::pair<OptimizeResult, std::string>> CorpusBlobs() {
+  std::vector<Query> corpus = SmallCorpus();
+  std::vector<std::pair<OptimizeResult, std::string>> out;
+  for (size_t i = 0; i < corpus.size() && out.size() < 64; ++i) {
+    OptimizeResult r = PlannerSession(OptimizerOptions{}).Optimize(corpus[i]);
+    if (r.plan == nullptr) continue;
+    std::string blob = EncodePlan(r);
+    out.emplace_back(std::move(r), std::move(blob));
+  }
+  EXPECT_EQ(out.size(), 64u);
+  return out;
+}
+
+/// One node record of a hand-built blob: every payload reference but the
+/// key set is null.
+struct RawNode {
+  PlanOp op;
+  int relation;  ///< kScan; -1 otherwise
+  RelSet rels;
+  uint32_t left;  ///< 1-based node reference, 0 = none
+  uint32_t right;
+  uint32_t keys;  ///< 1-based key-set reference
+};
+
+/// A blob laid out exactly as EncodePlan lays one out: `keysets` is the
+/// key-set table, the other payload tables are empty.
+std::string HandBuiltBlob(const std::vector<AttrSet>& keysets,
+                          const std::vector<RawNode>& nodes, uint32_t root) {
+  std::string payload = StatsBlock(OptimizeStats{});
+  payload.push_back(1);  // has a plan
+  PutVarint32(&payload, static_cast<uint32_t>(keysets.size()));
+  for (AttrSet k : keysets) payload += KeySetEntry(k);
+  for (int table = 0; table < 6; ++table) PutVarint32(&payload, 0);
+  PutVarint32(&payload, static_cast<uint32_t>(nodes.size()));
+  for (const RawNode& n : nodes) {
+    payload.push_back(static_cast<char>(n.op));
+    PutRawSet(&payload, n.rels);
+    PutZigzag(&payload, n.relation);
+    PutVarint32(&payload, n.left);
+    PutVarint32(&payload, n.right);
+    for (int ref = 0; ref < 3; ++ref) PutVarint32(&payload, 0);
+    PutRawSet(&payload, AttrSet());  // group_by
+    for (int ref = 0; ref < 2; ++ref) PutVarint32(&payload, 0);
+    for (int d = 0; d < 4; ++d) PutF64(&payload, 1.0);
+    PutVarint32(&payload, n.keys);
+    payload.push_back(1);  // duplicate_free
+    for (int ref = 0; ref < 2; ++ref) PutVarint32(&payload, 0);
+  }
+  PutVarint32(&payload, root);
+  return Seal(payload);
+}
+
+RawNode Scan(int rel, uint32_t keys) {
+  return {PlanOp::kScan, rel, RelSet::Single(rel), 0, 0, keys};
+}
+
+RawNode Join(RelSet rels, uint32_t left, uint32_t right, uint32_t keys) {
+  return {PlanOp::kJoin, -1, rels, left, right, keys};
+}
+
+const RelSet kR01 = RelSet::Single(0).Union(RelSet::Single(1));
+
+/// Decodes `blob`, expecting the rejection `message`.
+void ExpectRejected(const std::string& blob, const std::string& message,
+                    const std::string& label) {
+  OptimizeResult out;
+  std::string error;
+  EXPECT_FALSE(DecodePlan(blob, &out, &error)) << label << " accepted";
+  EXPECT_EQ(error, message) << label;
+}
+
+TEST(PlanSerdeAdversarial, HandBuiltBlobIsCanonical) {
+  // The layout the four rejection tests below edit: a two-scan join whose
+  // hand-built bytes decode and re-encode to themselves.
+  std::string blob = HandBuiltBlob(
+      {AttrSet::Single(0), AttrSet::Single(1)},
+      {Scan(0, 1), Scan(1, 2), Join(kR01, 1, 2, 1)}, 3);
+  OptimizeResult out;
+  std::string error;
+  ASSERT_TRUE(DecodePlan(blob, &out, &error)) << error;
+  EXPECT_EQ(out.plan->left->keys_, out.plan->keys_);
+  EXPECT_EQ(EncodePlan(out), blob);
+  // The corpus splitter finds the key-set table: re-joining is identity.
+  for (const auto& [r, b] : CorpusBlobs()) {
+    KeySetTable t = SplitKeySets(r, b);
+    ASSERT_FALSE(t.entries.empty());
+    ASSERT_EQ(JoinKeySets(t, t.entries), b);
+  }
+}
+
+TEST(PlanSerdeAdversarial, UnreferencedTableEntryRejected) {
+  // Every corpus plan with one more key set that no node references (its
+  // key, attribute 127, appears in no plan): the table no longer re-encodes
+  // to itself, so decode refuses it.
+  for (const auto& [r, blob] : CorpusBlobs()) {
+    KeySetTable t = SplitKeySets(r, blob);
+    std::vector<std::string> entries = t.entries;
+    entries.push_back(KeySetEntry(AttrSet::Single(127)));
+    ExpectRejected(JoinKeySets(t, entries), "unreferenced payload entry",
+                   "corpus plan");
+  }
+  ExpectRejected(
+      HandBuiltBlob({AttrSet::Single(0), AttrSet::Single(1),
+                     AttrSet::Single(2)},
+                    {Scan(0, 1), Scan(1, 2), Join(kR01, 1, 2, 1)}, 3),
+      "unreferenced payload entry", "hand-built");
+}
+
+TEST(PlanSerdeAdversarial, TableEntriesReferencedOutOfOrderRejected) {
+  // The encoder numbers entries by first reference in node order, so the
+  // nodes of a canonical blob reference entry k + 1 only after entry k.
+  // (Swapping two entries' contents is not caught here: the references
+  // stay in order, and only the CRC tells that plan from the original.)
+  ExpectRejected(
+      HandBuiltBlob({AttrSet::Single(0), AttrSet::Single(1)},
+                    {Scan(0, 2), Scan(1, 1), Join(kR01, 1, 2, 1)}, 3),
+      "malformed node table", "entry 2 first");
+  ExpectRejected(
+      HandBuiltBlob({AttrSet::Single(0), AttrSet::Single(1),
+                     AttrSet::Single(2)},
+                    {Scan(0, 1), Scan(1, 3), Join(kR01, 1, 2, 2)}, 3),
+      "malformed node table", "entry 3 before entry 2");
+}
+
+TEST(PlanSerdeAdversarial, DuplicateKeySetRejected) {
+  // Two equal entries, both referenced: the encoder dedups key sets by
+  // content, so it would write one.
+  ExpectRejected(
+      HandBuiltBlob({AttrSet::Single(0), AttrSet::Single(0)},
+                    {Scan(0, 1), Scan(1, 2), Join(kR01, 1, 2, 1)}, 3),
+      "duplicate key set", "hand-built");
+  // A copy of the first entry appended to every corpus plan's table.
+  for (const auto& [r, blob] : CorpusBlobs()) {
+    KeySetTable t = SplitKeySets(r, blob);
+    std::vector<std::string> entries = t.entries;
+    entries.push_back(entries.front());
+    ExpectRejected(JoinKeySets(t, entries), "duplicate key set",
+                   "corpus plan");
+  }
+}
+
+TEST(PlanSerdeAdversarial, NodeOutsideRootPostorderRejected) {
+  const std::string kMessage = "node table is not the root's postorder";
+  const std::vector<AttrSet> keys = {AttrSet::Single(0), AttrSet::Single(1)};
+  // A node the root does not reach.
+  ExpectRejected(HandBuiltBlob(keys,
+                               {Scan(0, 1), Scan(1, 2), Scan(2, 1),
+                                Join(kR01, 1, 2, 1)},
+                               4),
+                 kMessage, "unreachable node");
+  // A root that is not the last record.
+  ExpectRejected(HandBuiltBlob(keys,
+                               {Scan(0, 1), Scan(1, 2), Join(kR01, 1, 2, 1),
+                                Scan(2, 2)},
+                               3),
+                 kMessage, "root before the end");
+  // Every node reachable, but the right child listed before the left.
+  ExpectRejected(HandBuiltBlob(keys,
+                               {Scan(1, 1), Scan(0, 2), Join(kR01, 2, 1, 1)},
+                               3),
+                 kMessage, "right subtree first");
 }
 
 // ---------------------------------------------------------------------------
