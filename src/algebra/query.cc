@@ -112,7 +112,7 @@ AttrSet Query::GroupByPlus(RelSet rels) const {
       pending.UnionWith(f.attrs);
     }
   }
-  return group_by_.Union(pending).Intersect(catalog_.AttributesOf(rels));
+  return catalog_.AttributesOf(rels, group_by_.Union(pending));
 }
 
 bool Query::PendingGroupJoinRightIntersects(RelSet rels) const {

@@ -50,11 +50,12 @@ void Arena::AddBlock(size_t min_size) {
 }
 
 void Arena::RunCleanups() {
-  // Reverse order: later objects may reference earlier ones.
-  for (auto it = cleanups_.rbegin(); it != cleanups_.rend(); ++it) {
-    it->destroy(it->object);
+  // Newest first: later objects may reference earlier ones. The records
+  // live in the blocks, which stay allocated until after this walk.
+  for (Cleanup* c = cleanups_; c != nullptr; c = c->next) {
+    c->destroy(c);
   }
-  cleanups_.clear();
+  cleanups_ = nullptr;
 }
 
 void Arena::Reset() {

@@ -8,13 +8,17 @@
 // refcount traffic) with a single lifetime: the arena's.
 //
 // Objects with non-trivial destructors are supported — New() registers a
-// cleanup that runs on Reset()/destruction — but the hot path should stick
-// to trivially-destructible types, which cost nothing beyond their bytes.
+// cleanup that runs on Reset()/destruction. Each cleanup record sits in
+// the arena's blocks just before its object, so registering costs no heap
+// allocation (a decoded plan registers ~35 payload objects). The hot path
+// should still stick to trivially-destructible types, which cost nothing
+// beyond their bytes.
 // See docs/DESIGN.md §6 for the plan-memory ownership rules built on top.
 
 #ifndef EADP_COMMON_ARENA_H_
 #define EADP_COMMON_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,12 +54,20 @@ class Arena {
   /// trivially-destructible types cost only their bytes.
   template <typename T, typename... Args>
   T* New(Args&&... args) {
-    void* mem = AllocateBytes(sizeof(T), alignof(T));
-    T* obj = new (mem) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      cleanups_.push_back({[](void* p) { static_cast<T*>(p)->~T(); }, obj});
+    if constexpr (std::is_trivially_destructible_v<T>) {
+      return new (AllocateBytes(sizeof(T), alignof(T)))
+          T(std::forward<Args>(args)...);
+    } else {
+      // One bump allocation holds the cleanup record and, right after it,
+      // the object. The record is linked only once the object is
+      // constructed, so a throwing constructor leaves no dangling entry.
+      char* mem = static_cast<char*>(
+          AllocateBytes(ObjectOffset<T>() + sizeof(T),
+                        std::max(alignof(Cleanup), alignof(T))));
+      T* obj = new (mem + ObjectOffset<T>()) T(std::forward<Args>(args)...);
+      cleanups_ = new (mem) Cleanup{&Destroy<T>, cleanups_};
+      return obj;
     }
-    return obj;
   }
 
   /// Destroys every object and recycles the largest block, so a reused
@@ -77,10 +89,23 @@ class Arena {
     std::unique_ptr<char[]> data;
     size_t size = 0;
   };
+  /// One registered destructor, stored just before its object: newest
+  /// first, so RunCleanups destroys in reverse construction order.
   struct Cleanup {
-    void (*destroy)(void*);
-    void* object;
+    void (*destroy)(Cleanup*);
+    Cleanup* next;
   };
+  /// Where a T starts after its Cleanup record.
+  template <typename T>
+  static constexpr size_t ObjectOffset() {
+    return (sizeof(Cleanup) + alignof(T) - 1) & ~(alignof(T) - 1);
+  }
+  template <typename T>
+  static void Destroy(Cleanup* c) {
+    std::launder(reinterpret_cast<T*>(reinterpret_cast<char*>(c) +
+                                      ObjectOffset<T>()))
+        ->~T();
+  }
 
   void RunCleanups();
   void AddBlock(size_t min_size);
@@ -89,7 +114,8 @@ class Arena {
   static constexpr size_t kMaxBlockSize = 1u << 20;   // 1 MiB
 
   std::vector<Block> blocks_;
-  std::vector<Cleanup> cleanups_;
+  /// Head of the destructor list (newest first), kept in the blocks.
+  Cleanup* cleanups_ = nullptr;
   char* ptr_ = nullptr;   ///< bump pointer into the active (last) block
   char* end_ = nullptr;   ///< end of the active block
   size_t next_block_size_ = kMinBlockSize;

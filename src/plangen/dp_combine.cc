@@ -21,19 +21,41 @@ CcpCombiner::CcpCombiner(const Query* query, PlanBuilder* builder,
          "strategies are drivers on top of them (large_query.h)");
 }
 
+namespace {
+
+/// DpTable::Best over a class's plan list: the first plan of least cost.
+PlanPtr Cheapest(const std::vector<PlanPtr>& plans) {
+  PlanPtr best = plans[0];
+  for (PlanPtr p : plans) {
+    if (p->cost < best->cost) best = p;
+  }
+  return best;
+}
+
+}  // namespace
+
 bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
+  // Sources first: under a cost bound most classes of a re-plan stay
+  // empty, and a pair with an empty side builds nothing, so it is
+  // rejected before its crossing operators are derived. References stay
+  // valid while inserting: the target class is strictly larger than
+  // either source, and unordered_map rehashing never invalidates
+  // references to values (pinned by dp_table_test).
+  const std::vector<PlanPtr>& plans1 = read_dp_->Plans(s1);
+  if (plans1.empty()) return false;
+  const std::vector<PlanPtr>& plans2 = read_dp_->Plans(s2);
+  if (plans2.empty()) return false;
   CrossingOps crossing = builder_->FindCrossingOps(s1, s2);
   if (!crossing.valid) return false;
-  RelSet a = crossing.swap ? s2 : s1;
-  RelSet b = crossing.swap ? s1 : s2;
+  const std::vector<PlanPtr>& plans_a = crossing.swap ? plans2 : plans1;
+  const std::vector<PlanPtr>& plans_b = crossing.swap ? plans1 : plans2;
   RelSet s = s1.Union(s2);
   bool top = s == query_->AllRelations();
 
   switch (algorithm_) {
     case Algorithm::kDphyp: {
-      PlanPtr t1 = read_dp_->Best(a);
-      PlanPtr t2 = read_dp_->Best(b);
-      if (!t1 || !t2) return false;
+      PlanPtr t1 = Cheapest(plans_a);
+      PlanPtr t2 = Cheapest(plans_b);
       // Cost-bound pruning (constructor comment): every tree built from
       // (t1, t2) costs at least t1->cost + t2->cost, rounding included.
       if (t1->cost + t2->cost > cost_bound_) break;
@@ -44,22 +66,14 @@ bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
     }
     case Algorithm::kH1:
     case Algorithm::kH2: {
-      PlanPtr t1 = read_dp_->Best(a);
-      PlanPtr t2 = read_dp_->Best(b);
-      if (!t1 || !t2) return false;
       trees_.clear();
-      builder_->OpTrees(t1, t2, crossing, &trees_);
+      builder_->OpTrees(Cheapest(plans_a), Cheapest(plans_b), crossing,
+                        &trees_);
       for (PlanPtr t : trees_) InsertHeuristic(s, t, top);
       break;
     }
     case Algorithm::kEaAll:
     case Algorithm::kEaPrune: {
-      // References stay valid while inserting: the target class `s` is
-      // strictly larger than `a` and `b`, and unordered_map rehashing
-      // never invalidates references to values (pinned by dp_table_test).
-      const std::vector<PlanPtr>& plans_a = read_dp_->Plans(a);
-      const std::vector<PlanPtr>& plans_b = read_dp_->Plans(b);
-      if (plans_a.empty() || plans_b.empty()) return false;
       for (PlanPtr t1 : plans_a) {
         for (PlanPtr t2 : plans_b) {
           if (t1->cost + t2->cost > cost_bound_) continue;

@@ -51,9 +51,11 @@ class CcpCombiner {
   /// insertion policy. Trees covering the whole query arrive finalized (the
   /// OpTrees contract) and are kept single-best regardless of policy.
   /// Returns true iff plans were built and offered to the table — false
-  /// when no operator crosses the cut, the cut is conflict-blocked, or a
-  /// source class holds no plans. (The offered plans may still all have
-  /// been pruned away by the insertion policy or the cost bound.)
+  /// when a source class holds no plans, no operator crosses the cut, or
+  /// the cut is conflict-blocked, checked in that order: an empty source
+  /// (most pairs of a bounded run) never pays for FindCrossingOps. (The
+  /// offered plans may still all have been pruned away by the insertion
+  /// policy or the cost bound.)
   bool Combine(RelSet s1, RelSet s2);
 
  private:

@@ -16,6 +16,18 @@ PlanBuilder::PlanBuilder(const Query* query, const ConflictDetector* conflicts,
       options_(options),
       estimator_(&query->catalog()),
       arena_(arena ? std::move(arena) : std::make_shared<PlanArena>()) {
+  const size_t num_ops = query->ops().size();
+  assert(num_ops <= static_cast<size_t>(kBitsetCapacity));
+  RelSet all = query->AllRelations();
+  op_touch_.resize(all.empty() ? 0 : static_cast<size_t>(all.Highest()) + 1);
+  op_ses_.reserve(num_ops);
+  for (size_t i = 0; i < num_ops; ++i) {
+    RelSet ses = conflicts->conflicts(static_cast<int>(i)).ses;
+    op_ses_.push_back(ses);
+    for (int r : BitsOf(ses)) {
+      op_touch_[static_cast<size_t>(r)].Add(static_cast<int>(i));
+    }
+  }
   // Modest pre-sizing keeps the interner from rehashing inside the (timed)
   // enumeration; construction is off the hot path.
   crossing_interner_.reserve(64);
@@ -76,40 +88,31 @@ CrossingOps PlanBuilder::FindCrossingOps(RelSet s1, RelSet s2) {
   CrossingOps out;
   RelSet s = s1.Union(s2);
   const std::vector<QueryOp>& ops = query_->ops();
-  assert(ops.size() <= static_cast<size_t>(kBitsetCapacity));
   int primary = -1;
   int crossing[kBitsetCapacity];
   size_t count = 0;
   Bitset128 mask;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    RelSet ses = conflicts_->conflicts(static_cast<int>(i)).ses;
-    if (!ses.Intersects(s1) || !ses.Intersects(s2)) continue;
+  // Candidates: the operators whose SES meets both sides, in index order.
+  for (int i : BitsOf(OpsTouching(s1).Intersect(OpsTouching(s2)))) {
     // An operator referencing relations outside S stays pending: it is
     // applied at the unique higher cut where its SES is first fully
     // contained (e.g. Q5's cycle-closing c_nationkey = s_nationkey).
-    if (!ses.IsSubsetOf(s)) continue;
-    if (ops[i].kind != OpKind::kJoin) {
+    if (!op_ses_[static_cast<size_t>(i)].IsSubsetOf(s)) continue;
+    if (ops[static_cast<size_t>(i)].kind != OpKind::kJoin) {
       if (primary >= 0) return out;  // two non-inner operators on one cut
-      primary = static_cast<int>(i);
+      primary = i;
     }
-    crossing[count++] = static_cast<int>(i);
-    mask.Add(static_cast<int>(i));
+    crossing[count++] = i;
+    mask.Add(i);
   }
   if (count == 0) return out;
 
-  // Primary operator first.
-  if (primary >= 0) {
-    for (size_t k = 0; k < count; ++k) {
-      if (crossing[k] == primary) {
-        std::swap(crossing[0], crossing[k]);
-        break;
-      }
-    }
-    // Mixed non-inner + extra inner predicates on one cut would need the
-    // extra predicates folded into the non-inner operator's semantics;
-    // conservatively rejected (cannot occur for tree-shaped queries).
-    if (count > 1) return out;
-  }
+  // Mixed non-inner + extra inner predicates on one cut would need the
+  // extra predicates folded into the non-inner operator's semantics;
+  // conservatively rejected (it takes an extra predicate split off a
+  // non-inner tree operator). So a non-inner primary is the only crossing
+  // operator, and hence first.
+  if (primary >= 0 && count > 1) return out;
   out.primary_kind = ops[static_cast<size_t>(crossing[0])].kind;
 
   // Orientation: every crossing operator must be applicable with (a, b) as

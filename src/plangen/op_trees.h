@@ -130,6 +130,14 @@ class PlanBuilder {
     return arena_->NewNode();
   }
 
+  /// The operators whose SES meets `s`: the union of the incidence masks
+  /// of its relations.
+  Bitset128 OpsTouching(RelSet s) const {
+    Bitset128 ops;
+    for (int r : BitsOf(s)) ops.UnionWith(op_touch_[static_cast<size_t>(r)]);
+    return ops;
+  }
+
   /// Interns the crossing payload for `ops` (primary first). `mask` is the
   /// bitset of op indices — queries carry at most 127 operators, so the set
   /// itself is the interning key (the primary, and hence the list order,
@@ -146,6 +154,12 @@ class PlanBuilder {
   uint64_t plans_built_ = 0;
 
   std::shared_ptr<PlanArena> arena_;
+  /// Incidence masks, built once per run (docs/DESIGN.md §7): the
+  /// conflict detector's SES of each operator, contiguous, and per
+  /// relation id the operators whose SES contains it. FindCrossingOps
+  /// tests SES containment only for OpsTouching(S1) ∩ OpsTouching(S2).
+  std::vector<RelSet> op_ses_;
+  std::vector<Bitset128> op_touch_;
   /// Op-index bitmask -> interned payload.
   std::unordered_map<Bitset128, const CrossingInfo*, Bitset128::Hasher>
       crossing_interner_;

@@ -300,10 +300,12 @@ namespace {
 /// First arena block of a decoded plan, per payload byte. A plan's arena
 /// holds its nodes and payload objects, which are larger in memory than on
 /// the wire (a node record of ~60 bytes becomes a 192-byte PlanNode, a
-/// 3-byte key set a 144-byte KeySet). The factor covers the serve_churn
-/// and plan_serde_test plans in one block; an unusual blob that needs more
-/// only chains a second block.
-constexpr size_t kDecodeArenaBytesPerPayloadByte = 6;
+/// 3-byte key set a 144-byte KeySet, and each payload object with a
+/// destructor carries a 16-byte cleanup record, common/arena.h). The
+/// factor covers the plan_cold and serve_churn plans in one block (at most
+/// 6.13 bytes per payload byte); an unusual blob that needs more only
+/// chains a second block.
+constexpr size_t kDecodeArenaBytesPerPayloadByte = 7;
 /// Cap on that first block (the DP arena's largest block size): a blob
 /// claims its size before any of it parses, so a hostile one must not
 /// reserve more up front than an ordinary block.

@@ -123,6 +123,36 @@ TEST(ParallelDpIdentity, SmallCorpusAllPoliciesAllWorkerCounts) {
   }
 }
 
+TEST(ParallelDpIdentity, BoundedEaPruneMatchesSequential) {
+  // A caller bound at 1.0x and 1.1x the unbounded optimum: most classes
+  // of the bounded run stay empty, so most pairs a worker owns die on an
+  // empty source class. Workers must still fill exactly the sequential
+  // run's classes.
+  for (const Query& query : SmallCorpus()) {
+    OptimizerOptions options;  // kEaPrune
+    OptimizeResult unbounded = Optimize(query, options);
+    ASSERT_NE(unbounded.plan, nullptr);
+    for (double factor : {1.0, 1.1}) {
+      const double bound = unbounded.plan->cost * factor;
+      options.dp_threads = 1;
+      OptimizeResult sequential = Optimize(query, options, bound);
+      RunShape seq = ShapeOf(sequential);
+      const std::string seq_bytes = PlanOnlyBytes(sequential);
+      for (int workers : {2, 4}) {
+        options.dp_threads = workers;
+        OptimizeResult par = Optimize(query, options, bound);
+        std::string label = "bound x" + std::to_string(factor) +
+                            " workers=" + std::to_string(workers) + "\n" +
+                            query.ToString();
+        ExpectSameShape(seq, ShapeOf(par), label);
+        EXPECT_EQ(par.stats.plans_built, sequential.stats.plans_built)
+            << label;
+        EXPECT_EQ(PlanOnlyBytes(par), seq_bytes) << label;
+      }
+    }
+  }
+}
+
 TEST(ParallelDpIdentity, EaAllKeepsCompleteListsIdentically) {
   // kEaAll's class lists grow exponentially — n <= 7 keeps it cheap while
   // still exercising multi-plan classes (where per-class insertion order

@@ -6,27 +6,18 @@
 // and the predicates on every call — and the stored versions must agree
 // with them for every non-empty subset of relations of every query here.
 //
-// Corpus: the generator's presets (default, inner, outer, manyattr, and a
-// groupjoin-heavy mix) over random trees and the structured topologies,
-// the six TPC-H skeletons, the committed mutation corpus (path baked in as
-// EADP_CORPUS_DIR), and one hand-built query with a degenerate predicate —
-// the only shape where the conflict detector's padded SES differs from
-// the raw one the grouping test must use.
+// Corpus: PresetCorpus (tests/preset_corpus.h) — generator presets, the
+// six TPC-H skeletons, the committed mutation corpus and a query with a
+// degenerate predicate, the only shape where the conflict detector's
+// padded SES differs from the raw one the grouping test must use.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "conflict/conflict_detector.h"
-#include "queries/mutation.h"
-#include "queries/query_generator.h"
-#include "queries/tpch.h"
-
-#ifndef EADP_CORPUS_DIR
-#error "EADP_CORPUS_DIR must point at the committed corpus directory"
-#endif
+#include "tests/preset_corpus.h"
 
 namespace eadp {
 namespace {
@@ -67,104 +58,6 @@ bool RefPendingGroupJoinRightIntersects(const Query& q, RelSet rels) {
   return false;
 }
 
-// ---- Corpus. ----
-
-struct Labeled {
-  std::string label;
-  Query query;
-};
-
-Query FromSeed(QueryTopology topology, int n, const char* preset,
-               uint64_t seed) {
-  FuzzSeed s;
-  s.topology = topology;
-  s.num_relations = n;
-  s.preset = preset;
-  s.seed = seed;
-  return MaterializeSeed(s);
-}
-
-/// R0 ⋈_{R0.a = R1.a} R1, then ⋈ R2 with the predicate R0.b = R1.b, which
-/// references only the left side. CD-C pads the SES with R2 so the
-/// hyperedge has a right end; the raw SES is {R0, R1}.
-Query DegenerateQuery() {
-  Catalog catalog;
-  int r0 = catalog.AddRelation("R0", 100);
-  int a0 = catalog.AddAttribute(r0, "R0.a", 10);
-  int b0 = catalog.AddAttribute(r0, "R0.b", 10);
-  int r1 = catalog.AddRelation("R1", 200);
-  int a1 = catalog.AddAttribute(r1, "R1.a", 10);
-  int b1 = catalog.AddAttribute(r1, "R1.b", 10);
-  int r2 = catalog.AddRelation("R2", 300);
-  int g2 = catalog.AddAttribute(r2, "R2.g", 5);
-  JoinPredicate inner;
-  inner.AddEquality(a0, a1);
-  JoinPredicate one_sided;
-  one_sided.AddEquality(b0, b1);
-  auto root = OpTreeNode::Binary(
-      OpKind::kJoin,
-      OpTreeNode::Binary(OpKind::kJoin, OpTreeNode::Leaf(r0),
-                         OpTreeNode::Leaf(r1), inner, 0.1),
-      OpTreeNode::Leaf(r2), one_sided, 0.1);
-  AggregateFunction cnt;
-  cnt.output = "cnt";
-  cnt.kind = AggKind::kCountStar;
-  Query q = Query::FromTree(std::move(catalog), std::move(root),
-                            AttrSet::Single(g2), {cnt});
-  q.Canonicalize();
-  return q;
-}
-
-std::vector<Labeled> FootprintCorpus() {
-  std::vector<Labeled> corpus;
-  for (int n = 2; n <= 10; ++n) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-      std::string suffix =
-          " n=" + std::to_string(n) + " seed=" + std::to_string(seed);
-      for (const char* preset : {"default", "inner", "outer"}) {
-        corpus.push_back({std::string("random ") + preset + suffix,
-                          FromSeed(QueryTopology::kRandomTree, n, preset,
-                                   seed)});
-      }
-      GeneratorOptions groupjoins;
-      groupjoins.num_relations = n;
-      groupjoins.w_join = 0.2;
-      groupjoins.w_groupjoin = 0.6;
-      corpus.push_back({"random groupjoin" + suffix,
-                        GenerateRandomQuery(groupjoins, seed)});
-      for (QueryTopology t :
-           {QueryTopology::kChain, QueryTopology::kStar, QueryTopology::kCycle,
-            QueryTopology::kClique, QueryTopology::kSnowflake}) {
-        for (const char* preset : {"default", "manyattr"}) {
-          corpus.push_back({std::string(TopologyName(t)) + " " + preset +
-                                suffix,
-                            FromSeed(t, n, preset, seed)});
-        }
-      }
-    }
-  }
-  const char* names[] = {"tpch ex", "tpch q1", "tpch q3",
-                         "tpch q5", "tpch q10", "tpch q18"};
-  Query (*makers[])() = {&MakeTpchEx, &MakeTpchQ1, &MakeTpchQ3,
-                         &MakeTpchQ5, &MakeTpchQ10, &MakeTpchQ18};
-  for (size_t i = 0; i < 6; ++i) corpus.push_back({names[i], makers[i]()});
-
-  std::ifstream in(std::string(EADP_CORPUS_DIR) + "/mutation.corpus");
-  EXPECT_TRUE(in.is_open());
-  std::string line;
-  while (std::getline(in, line)) {
-    CorpusEntry entry;
-    std::string error;
-    if (!ParseCorpusEntry(line, &entry, &error)) continue;
-    QuerySpec seed = QuerySpec::FromQuery(MaterializeSeed(entry.seed));
-    QuerySpec mutant =
-        MutationEngine::Replay(seed, entry.chain, entry.chain.size());
-    corpus.push_back({"mutant " + line, mutant.ToQuery()});
-  }
-  corpus.push_back({"degenerate", DegenerateQuery()});
-  return corpus;
-}
-
 /// Every non-empty subset of `all` (n <= 10 keeps this at 1023 sets).
 std::vector<RelSet> Subsets(RelSet all) {
   std::vector<int> bits;
@@ -184,7 +77,7 @@ TEST(QueryFootprint, StoredFootprintsMatchTheReferences) {
   size_t queries = 0;
   size_t pending_groupjoin_hits = 0;
   size_t pending_attr_gains = 0;  // G+ strictly larger than G ∩ own
-  for (const Labeled& c : FootprintCorpus()) {
+  for (const Labeled& c : PresetCorpus()) {
     const Query& q = c.query;
     if (q.NumRelations() > 10) continue;
     ++queries;
@@ -213,7 +106,7 @@ TEST(QueryFootprint, StoredFootprintsMatchTheReferences) {
 TEST(QueryFootprint, ConflictDetectorPadsOnlyDegenerateSides) {
   // CD-C's SES is the stored raw SES plus, per side the predicate does not
   // reference, that side's lowest relation.
-  for (const Labeled& c : FootprintCorpus()) {
+  for (const Labeled& c : PresetCorpus()) {
     const Query& q = c.query;
     SCOPED_TRACE(c.label);
     ConflictDetector cd(q);
