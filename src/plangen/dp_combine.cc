@@ -1,6 +1,7 @@
 #include "plangen/dp_combine.h"
 
 #include <cassert>
+#include <span>
 #include <utility>
 
 namespace eadp {
@@ -24,7 +25,7 @@ CcpCombiner::CcpCombiner(const Query* query, PlanBuilder* builder,
 namespace {
 
 /// DpTable::Best over a class's plan list: the first plan of least cost.
-PlanPtr Cheapest(const std::vector<PlanPtr>& plans) {
+PlanPtr Cheapest(std::span<const PlanPtr> plans) {
   PlanPtr best = plans[0];
   for (PlanPtr p : plans) {
     if (p->cost < best->cost) best = p;
@@ -37,18 +38,17 @@ PlanPtr Cheapest(const std::vector<PlanPtr>& plans) {
 bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
   // Sources first: under a cost bound most classes of a re-plan stay
   // empty, and a pair with an empty side builds nothing, so it is
-  // rejected before its crossing operators are derived. References stay
-  // valid while inserting: the target class is strictly larger than
-  // either source, and unordered_map rehashing never invalidates
-  // references to values (pinned by dp_table_test).
-  const std::vector<PlanPtr>& plans1 = read_dp_->Plans(s1);
+  // rejected before its crossing operators are derived. The spans stay
+  // valid while inserting: only the target class is inserted into, and
+  // it is strictly larger than either source (pinned by dp_table_test).
+  std::span<const PlanPtr> plans1 = read_dp_->Plans(s1);
   if (plans1.empty()) return false;
-  const std::vector<PlanPtr>& plans2 = read_dp_->Plans(s2);
+  std::span<const PlanPtr> plans2 = read_dp_->Plans(s2);
   if (plans2.empty()) return false;
   CrossingOps crossing = builder_->FindCrossingOps(s1, s2);
   if (!crossing.valid) return false;
-  const std::vector<PlanPtr>& plans_a = crossing.swap ? plans2 : plans1;
-  const std::vector<PlanPtr>& plans_b = crossing.swap ? plans1 : plans2;
+  std::span<const PlanPtr> plans_a = crossing.swap ? plans2 : plans1;
+  std::span<const PlanPtr> plans_b = crossing.swap ? plans1 : plans2;
   RelSet s = s1.Union(s2);
   bool top = s == query_->AllRelations();
 
@@ -74,11 +74,15 @@ bool CcpCombiner::Combine(RelSet s1, RelSet s2) {
     }
     case Algorithm::kEaAll:
     case Algorithm::kEaPrune: {
+      // Which side admits a pushed grouping, and its G+, depend on the
+      // classes only: once per ccp, not per plan pair.
+      const GroupingSides sides = builder_->SideGroupings(
+          crossing.swap ? s2 : s1, crossing.swap ? s1 : s2, crossing);
       for (PlanPtr t1 : plans_a) {
         for (PlanPtr t2 : plans_b) {
           if (t1->cost + t2->cost > cost_bound_) continue;
           trees_.clear();
-          builder_->OpTrees(t1, t2, crossing, &trees_);
+          builder_->OpTrees(t1, t2, crossing, sides, &trees_);
           for (PlanPtr t : trees_) {
             if (t->cost > cost_bound_) continue;
             if (top) {

@@ -10,8 +10,6 @@
 
 namespace eadp {
 
-const std::vector<PlanPtr> DpTable::kEmpty;
-
 namespace {
 
 /// Null key-set pointers (no keys known) read as the empty set, mirroring
@@ -42,49 +40,118 @@ bool Dominates(const PlanNode& a, const PlanNode& b, bool use_cardinality,
   return true;
 }
 
-void DpTable::PlanClass::PushBack(PlanPtr p) {
-  plans.push_back(p);
-  cost.push_back(p->cost);
-  cardinality.push_back(p->cardinality);
-  raw_cardinality.push_back(p->raw_cardinality);
-  keys.push_back(p->keys_);
-  duplicate_free.push_back(p->duplicate_free ? 1 : 0);
+DpTable::DpTable() : storage_(kFirstStorageBytes) {}
+
+void DpTable::Reserve(size_t expected_classes) {
+  if (expected_classes * 2 > index_.size()) GrowIndex(expected_classes * 2);
 }
 
-void DpTable::PlanClass::ReplaceAt(size_t i, PlanPtr p) {
-  plans[i] = p;
-  cost[i] = p->cost;
-  cardinality[i] = p->cardinality;
-  raw_cardinality[i] = p->raw_cardinality;
-  keys[i] = p->keys_;
-  duplicate_free[i] = p->duplicate_free ? 1 : 0;
+void DpTable::GrowIndex(size_t min_slots) {
+  size_t slots = std::max<size_t>(index_.size() * 2, kMinIndexSlots);
+  while (slots < min_slots) slots *= 2;
+  index_.assign(slots, 0);
+  // The records grow in step with the index, so creating a class never
+  // reallocates them between two index growths.
+  classes_.reserve(slots / 2);
+  const size_t mask = slots - 1;
+  for (size_t i = 0; i < classes_.size(); ++i) {
+    size_t at = classes_[i].rels.Hash() & mask;
+    while (index_[at] != 0) at = (at + 1) & mask;
+    index_[at] = static_cast<uint32_t>(i + 1);
+  }
 }
 
-void DpTable::PlanClass::Resize(size_t n) {
-  plans.resize(n);
-  cost.resize(n);
-  cardinality.resize(n);
-  raw_cardinality.resize(n);
-  keys.resize(n);
-  duplicate_free.resize(n);
-}
-
-const std::vector<PlanPtr>& DpTable::Plans(RelSet rels) const {
-  auto it = table_.find(rels);
-  return it == table_.end() ? kEmpty : it->second.plans;
+const DpTable::PlanClass* DpTable::Find(RelSet rels) const {
+  if (index_.empty()) return nullptr;
+  const size_t mask = index_.size() - 1;
+  for (size_t at = rels.Hash() & mask;; at = (at + 1) & mask) {
+    uint32_t slot = index_[at];
+    if (slot == 0) return nullptr;
+    const PlanClass& c = classes_[slot - 1];
+    if (c.rels == rels) return &c;
+  }
 }
 
 DpTable::PlanClass& DpTable::ClassOf(RelSet rels) {
-  auto [it, inserted] = table_.try_emplace(rels);
-  if (inserted) it->second.plans.reserve(4);
-  return it->second;
+  if ((classes_.size() + 1) * 2 > index_.size()) GrowIndex(0);
+  const size_t mask = index_.size() - 1;
+  size_t at = rels.Hash() & mask;
+  for (; index_[at] != 0; at = (at + 1) & mask) {
+    PlanClass& c = classes_[index_[at] - 1];
+    if (c.rels == rels) return c;
+  }
+  PlanClass& c = classes_.emplace_back();
+  c.rels = rels;
+  index_[at] = static_cast<uint32_t>(classes_.size());
+  return c;
+}
+
+void DpTable::Allocate(PlanClass& c, uint32_t capacity) {
+  // One carve per class and capacity: the five 8-byte columns, then the
+  // byte column. The old columns stay in the arena until the table dies.
+  const size_t cap = capacity;
+  char* mem = static_cast<char*>(storage_.AllocateBytes(
+      cap * (4 * sizeof(double) + sizeof(PlanPtr)) + cap, alignof(double)));
+  auto* plans = reinterpret_cast<PlanPtr*>(mem);
+  auto* cost = reinterpret_cast<double*>(plans + cap);
+  auto* card = cost + cap;
+  auto* raw = card + cap;
+  auto* keys = reinterpret_cast<const KeySet**>(raw + cap);
+  auto* dup = reinterpret_cast<uint8_t*>(keys + cap);
+  const size_t n = c.size;
+  if (n > 0) {
+    std::copy_n(c.plans, n, plans);
+    std::copy_n(c.cost, n, cost);
+    std::copy_n(c.cardinality, n, card);
+    std::copy_n(c.raw_cardinality, n, raw);
+    std::copy_n(c.keys, n, keys);
+    std::copy_n(c.duplicate_free, n, dup);
+  }
+  c.plans = plans;
+  c.cost = cost;
+  c.cardinality = card;
+  c.raw_cardinality = raw;
+  c.keys = keys;
+  c.duplicate_free = dup;
+  c.capacity = capacity;
+}
+
+void DpTable::PushBack(PlanClass& c, PlanPtr p) {
+  if (c.size == c.capacity) {
+    Allocate(c, c.capacity == 0 ? kInitialClassCapacity : c.capacity * 2);
+  }
+  ReplaceAt(c, c.size++, p);
+}
+
+void DpTable::ReplaceAt(PlanClass& c, size_t i, PlanPtr p) {
+  c.plans[i] = p;
+  c.cost[i] = p->cost;
+  c.cardinality[i] = p->cardinality;
+  c.raw_cardinality[i] = p->raw_cardinality;
+  c.keys[i] = p->keys_;
+  c.duplicate_free[i] = p->duplicate_free ? 1 : 0;
+}
+
+void DpTable::MoveEntry(PlanClass& c, size_t from, size_t to) {
+  c.plans[to] = c.plans[from];
+  c.cost[to] = c.cost[from];
+  c.cardinality[to] = c.cardinality[from];
+  c.raw_cardinality[to] = c.raw_cardinality[from];
+  c.keys[to] = c.keys[from];
+  c.duplicate_free[to] = c.duplicate_free[from];
+}
+
+std::span<const PlanPtr> DpTable::Plans(RelSet rels) const {
+  const PlanClass* c = Find(rels);
+  if (c == nullptr) return {};
+  return {c->plans, c->size};
 }
 
 PlanPtr DpTable::Best(RelSet rels) const {
-  auto it = table_.find(rels);
-  if (it == table_.end()) return nullptr;
-  const PlanClass& c = it->second;
-  size_t n = c.cost.size();
+  const PlanClass* found = Find(rels);
+  if (found == nullptr) return nullptr;
+  const PlanClass& c = *found;
+  size_t n = c.size;
   if (n == 0) return nullptr;
   // Cost-column scan: index arithmetic over one contiguous array, the
   // plan pointer is only fetched once at the end.
@@ -97,19 +164,19 @@ PlanPtr DpTable::Best(RelSet rels) const {
 
 bool DpTable::InsertIfCheaper(RelSet rels, PlanPtr plan) {
   PlanClass& c = ClassOf(rels);
-  if (c.plans.empty()) {
-    c.PushBack(plan);
+  if (c.size == 0) {
+    PushBack(c, plan);
     return true;
   }
   if (plan->cost < c.cost[0]) {
-    c.ReplaceAt(0, plan);
+    ReplaceAt(c, 0, plan);
     return true;
   }
   return false;
 }
 
 void DpTable::Append(RelSet rels, PlanPtr plan) {
-  ClassOf(rels).PushBack(plan);
+  PushBack(ClassOf(rels), plan);
 }
 
 bool DpTable::InsertPruned(RelSet rels, PlanPtr plan) {
@@ -133,7 +200,7 @@ bool DpTable::InsertPruned(RelSet rels, PlanPtr plan) {
   const double p_raw = plan->raw_cardinality;
   const KeySet* p_keys = plan->keys_;
   const unsigned p_dup = plan->duplicate_free ? 1 : 0;
-  const size_t n = c.plans.size();
+  const size_t n = c.size;
 
   // Pass 1: reject the candidate if some incumbent dominates it.
   for (size_t i = 0; i < n; ++i) {
@@ -168,68 +235,59 @@ bool DpTable::InsertPruned(RelSet rels, PlanPtr plan) {
               KeySetDominates(KeysOrEmpty(p_keys), KeysOrEmpty(i_keys));
     }
     if (!evict) {
-      if (w != i) {
-        c.plans[w] = c.plans[i];
-        c.cost[w] = c.cost[i];
-        c.cardinality[w] = c.cardinality[i];
-        c.raw_cardinality[w] = c.raw_cardinality[i];
-        c.keys[w] = c.keys[i];
-        c.duplicate_free[w] = c.duplicate_free[i];
-      }
+      if (w != i) MoveEntry(c, i, w);
       ++w;
     }
   }
   pruned_existing_ += n - w;
-  c.Resize(w);
-  c.PushBack(plan);
+  c.size = static_cast<uint32_t>(w);
+  PushBack(c, plan);
   return true;
 }
 
 bool DpTable::InsertPrunedGeneric(PlanClass& c, PlanPtr plan) {
-  for (PlanPtr old : c.plans) {
-    if (Dominates(*old, *plan, use_cardinality_, use_keys_, use_full_fds_)) {
+  const size_t n = c.size;
+  for (size_t i = 0; i < n; ++i) {
+    if (Dominates(*c.plans[i], *plan, use_cardinality_, use_keys_,
+                  use_full_fds_)) {
       ++pruned_candidates_;
       return false;
     }
   }
   size_t w = 0;
-  size_t n = c.plans.size();
   for (size_t i = 0; i < n; ++i) {
     if (!Dominates(*plan, *c.plans[i], use_cardinality_, use_keys_,
                    use_full_fds_)) {
-      if (w != i) {
-        c.plans[w] = c.plans[i];
-        c.cost[w] = c.cost[i];
-        c.cardinality[w] = c.cardinality[i];
-        c.raw_cardinality[w] = c.raw_cardinality[i];
-        c.keys[w] = c.keys[i];
-        c.duplicate_free[w] = c.duplicate_free[i];
-      }
+      if (w != i) MoveEntry(c, i, w);
       ++w;
     }
   }
   pruned_existing_ += n - w;
-  c.Resize(w);
-  c.PushBack(plan);
+  c.size = static_cast<uint32_t>(w);
+  PushBack(c, plan);
   return true;
 }
 
 void DpTable::ReplaceSingle(RelSet rels, PlanPtr plan) {
   PlanClass& c = ClassOf(rels);
-  c.Resize(0);
-  c.PushBack(plan);
+  c.size = 0;
+  PushBack(c, plan);
 }
 
 void DpTable::AdoptClassesFrom(DpTable& shard) {
-  for (auto& [rels, plan_class] : shard.table_) {
-    auto [it, inserted] = table_.try_emplace(rels, std::move(plan_class));
-    assert(inserted &&
+  for (const PlanClass& from : shard.classes_) {
+    assert(Find(from.rels) == nullptr &&
            "shard classes must be disjoint from the merged table: every "
            "class has exactly one owning worker per subset-size level");
-    (void)it;
-    (void)inserted;
+    // Take the shard's columns as they are, then copy them into this
+    // table's storage: the shard's is recycled below.
+    PlanClass& c = ClassOf(from.rels);
+    c = from;
+    Allocate(c, std::max<uint32_t>(from.size, 1));
   }
-  shard.table_.clear();
+  shard.classes_.clear();
+  std::fill(shard.index_.begin(), shard.index_.end(), 0);
+  shard.storage_.Reset();
   pruned_candidates_ += shard.pruned_candidates_;
   pruned_existing_ += shard.pruned_existing_;
   shard.pruned_candidates_ = 0;
@@ -238,7 +296,7 @@ void DpTable::AdoptClassesFrom(DpTable& shard) {
 
 size_t DpTable::TotalPlans() const {
   size_t n = 0;
-  for (const auto& [_, c] : table_) n += c.plans.size();
+  for (const PlanClass& c : classes_) n += c.size;
   return n;
 }
 

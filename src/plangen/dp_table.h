@@ -7,15 +7,26 @@
 // FD+(T1) ⊇ FD+(T2) — the FD condition implemented, as the paper suggests,
 // by comparing candidate key sets (plus duplicate-freeness).
 //
-// Storage contract: the table keys directly on RelSet (mixed, not identity-
-// hashed — consecutive subset patterns cluster badly otherwise) and the
-// per-class vectors are *reference-stable across insertions into other
-// classes*: std::unordered_map never invalidates references to values on
-// rehash, so generators may hold `const std::vector<PlanPtr>&` to the
-// source classes of a csg-cmp-pair while inserting the produced trees into
-// the (strictly larger) target class. dp_table_test pins this contract.
+// Storage contract: the table owns its storage and it dies with the
+// table — it never lives in the run's PlanArena, which a cached result
+// keeps alive. Plan classes are records in one vector, found through a
+// flat open-addressing index over their 128-bit relation sets (mixed, not
+// identity-hashed — consecutive subset patterns cluster badly otherwise).
+// The index starts small and doubles with the classes actually created,
+// so a bounded re-plan that fills a few dozen classes pays for a few
+// dozen slots, not for every connected subgraph of the query. Each
+// class's columns are carved from one table-owned arena and grow by
+// doubling, so creating a class or adding a plan costs no heap
+// allocation.
 //
-// Layout: each class keeps, next to its plan-pointer list, structure-of-
+// Plans(S) returns a span into class S's own columns. It stays valid
+// until S itself is inserted into: insertions into other classes, new
+// classes and index growth never move a class's columns. Generators hold
+// the source classes' spans of a csg-cmp-pair while inserting the
+// produced trees into the (strictly larger) target class. dp_table_test
+// pins this contract.
+//
+// Layout: each class keeps, next to its plan-pointer column, structure-of-
 // arrays mirrors of exactly the properties the dominance test reads (cost,
 // the two chained cardinalities, interned key-set pointer, duplicate-
 // freeness). The pruning scans of InsertPruned and the Best() cost scan
@@ -30,18 +41,19 @@
 // Thread-compatibility: a DpTable is not internally synchronized. The
 // intra-query parallel DP (plangen/parallel_dp.h) runs one *shard* table
 // per worker for writes while all workers read a shared merged table of
-// completed smaller subset sizes; AdoptClassesFrom moves a shard's classes
-// into the merged table wholesale at the subset-size barrier.
+// completed smaller subset sizes; AdoptClassesFrom copies a shard's classes
+// into the merged table's storage at the subset-size barrier and recycles
+// the shard's.
 
 #ifndef EADP_PLANGEN_DP_TABLE_H_
 #define EADP_PLANGEN_DP_TABLE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/bitset.h"
-#include "common/rng.h"
 #include "plangen/plan.h"
 
 namespace eadp {
@@ -68,13 +80,15 @@ class DpTable {
     use_full_fds_ = use_full_fds;
   }
 
-  /// Pre-sizes the hash table for `expected_classes` plan classes so the
-  /// enumeration's insertions don't pay for incremental rehashing.
-  void Reserve(size_t expected_classes) { table_.reserve(expected_classes); }
+  DpTable();
 
-  /// Plans stored for `rels` (empty vector if none). The reference stays
-  /// valid across insertions into other classes (see file comment).
-  const std::vector<PlanPtr>& Plans(RelSet rels) const;
+  /// Pre-sizes the index and the class records for `expected_classes`
+  /// classes, for a caller that knows the count (kIdp's subproblems).
+  void Reserve(size_t expected_classes);
+
+  /// Plans stored for `rels` (empty if none). The span stays valid until
+  /// `rels` itself is inserted into (see file comment).
+  std::span<const PlanPtr> Plans(RelSet rels) const;
 
   /// True if at least one plan is stored for `rels`.
   bool Has(RelSet rels) const { return !Plans(rels).empty(); }
@@ -95,19 +109,19 @@ class DpTable {
   /// Clears the class and stores exactly `plan` (H2's replacement step).
   void ReplaceSingle(RelSet rels, PlanPtr plan);
 
-  /// Moves every class of `shard` into this table and folds the shard's
-  /// pruning counters in; `shard` is left empty (its dominance options are
-  /// untouched, so a worker can keep reusing it across barriers). The
-  /// parallel DP's subset-size merge: shard classes must be disjoint from
-  /// this table's (each class has exactly one owning worker per level —
-  /// asserted), so "merging" is a wholesale vector move, never a
-  /// re-pruning, which is what keeps parallel class contents bit-identical
-  /// to the sequential run's.
+  /// Copies every class of `shard` into this table's storage and folds the
+  /// shard's pruning counters in; `shard` is left empty with its storage
+  /// recycled (its dominance options are untouched, so a worker can keep
+  /// reusing it across barriers). The parallel DP's subset-size merge:
+  /// shard classes must be disjoint from this table's (each class has
+  /// exactly one owning worker per level — asserted), so "merging" copies
+  /// each class's columns verbatim, never re-prunes, which is what keeps
+  /// parallel class contents bit-identical to the sequential run's.
   void AdoptClassesFrom(DpTable& shard);
 
   /// Total number of plans across all classes.
   size_t TotalPlans() const;
-  size_t NumClasses() const { return table_.size(); }
+  size_t NumClasses() const { return classes_.size(); }
 
   /// Candidates rejected by the dominance test (InsertPruned returning
   /// false) and incumbents evicted by a dominating newcomer, over the
@@ -116,38 +130,60 @@ class DpTable {
   uint64_t pruned_existing() const { return pruned_existing_; }
 
  private:
-  /// One plan class: the plan list plus SoA mirrors of the dominance-
-  /// scanned properties (see file comment). `plans` is what Plans()
-  /// exposes; the mirrors are kept index-aligned with it.
+  /// One plan class: the plan column plus SoA mirrors of the dominance-
+  /// scanned properties (see file comment), `size` entries each, carved
+  /// from `storage_` with room for `capacity`.
   struct PlanClass {
-    std::vector<PlanPtr> plans;
-    std::vector<double> cost;
-    std::vector<double> cardinality;
-    std::vector<double> raw_cardinality;
-    std::vector<const KeySet*> keys;
-    std::vector<uint8_t> duplicate_free;
-
-    void PushBack(PlanPtr p);
-    void ReplaceAt(size_t i, PlanPtr p);
-    void Resize(size_t n);
+    RelSet rels;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+    PlanPtr* plans = nullptr;
+    double* cost = nullptr;
+    double* cardinality = nullptr;
+    double* raw_cardinality = nullptr;
+    const KeySet** keys = nullptr;
+    uint8_t* duplicate_free = nullptr;
   };
 
-  /// The class for `rels`, created on demand with pre-reserved capacity
-  /// (the complete generators typically keep a handful of plans per class,
-  /// so the first few appends shouldn't each reallocate).
+  /// The class for `rels`, or nullptr.
+  const PlanClass* Find(RelSet rels) const;
+
+  /// The class for `rels`, created empty on demand; its first plan carves
+  /// room for kInitialClassCapacity (the complete generators typically
+  /// keep a handful per class).
   PlanClass& ClassOf(RelSet rels);
+
+  /// Points `c`'s columns at fresh storage for `capacity` plans, copying
+  /// its current entries.
+  void Allocate(PlanClass& c, uint32_t capacity);
+  void PushBack(PlanClass& c, PlanPtr p);
+  static void ReplaceAt(PlanClass& c, size_t i, PlanPtr p);
+  /// Entry `from` moves to slot `to` in every column.
+  static void MoveEntry(PlanClass& c, size_t from, size_t to);
+
+  /// Doubles the index (or creates it) and re-files every class.
+  void GrowIndex(size_t min_slots);
 
   /// The ablation-configurable slow path of InsertPruned (any dominance
   /// option off-default); semantics identical to the fast path.
   bool InsertPrunedGeneric(PlanClass& c, PlanPtr plan);
 
-  std::unordered_map<RelSet, PlanClass, RelSet::Hasher> table_;
+  static constexpr size_t kFirstStorageBytes = 4096;
+  static constexpr size_t kMinIndexSlots = 32;
+  static constexpr uint32_t kInitialClassCapacity = 4;
+
+  /// Classes in creation order.
+  std::vector<PlanClass> classes_;
+  /// Open-addressing index, a power of two in size (or empty): 0 is a
+  /// free slot, i + 1 names classes_[i]. Kept at most half full.
+  std::vector<uint32_t> index_;
+  /// Every class's columns.
+  Arena storage_;
   bool use_cardinality_ = true;
   bool use_keys_ = true;
   bool use_full_fds_ = false;
   uint64_t pruned_candidates_ = 0;
   uint64_t pruned_existing_ = 0;
-  static const std::vector<PlanPtr> kEmpty;
 };
 
 }  // namespace eadp

@@ -72,9 +72,9 @@ KeySet MergedKeys(const KeySet& a, const KeySet& b) {
 
 }  // namespace
 
-KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
-                              const PlanNode& left, const PlanNode& right,
-                              const JoinPredicate& pred) {
+KeyProperties ComputeJoinKeys(PlanOp plan_op, const PlanNode& left,
+                              const PlanNode& right, AttrSet left_attrs,
+                              AttrSet right_attrs) {
   KeyProperties out;
 
   // Semijoin, antijoin and groupjoin: κ(e1 ◦ e2) = κ(e1) (Sec. 2.3.4).
@@ -86,11 +86,10 @@ KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
     return out;
   }
 
-  AttrSet refs = pred.ReferencedAttrs();
-  AttrSet j1 = catalog.AttributesOf(left.rels, refs);
-  AttrSet j2 = catalog.AttributesOf(right.rels, refs);
-  bool j1_is_key = left.duplicate_free && HasKeySubset(left.keys(), j1);
-  bool j2_is_key = right.duplicate_free && HasKeySubset(right.keys(), j2);
+  bool j1_is_key =
+      left.duplicate_free && HasKeySubset(left.keys(), left_attrs);
+  bool j2_is_key =
+      right.duplicate_free && HasKeySubset(right.keys(), right_attrs);
 
   out.duplicate_free = left.duplicate_free && right.duplicate_free;
 

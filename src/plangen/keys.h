@@ -22,8 +22,6 @@
 #include <initializer_list>
 #include <span>
 
-#include "algebra/predicate.h"
-#include "catalog/catalog.h"
 #include "common/bitset.h"
 
 namespace eadp {
@@ -124,10 +122,12 @@ inline bool KeySetDominates(const KeySet& a, const KeySet& b) {
 }
 
 /// κ for a binary operator (paper Sec. 2.3). `plan_op` is the plan node
-/// kind; `pred` the combined predicate applied at the node.
-KeyProperties ComputeJoinKeys(PlanOp plan_op, const Catalog& catalog,
-                              const PlanNode& left, const PlanNode& right,
-                              const JoinPredicate& pred);
+/// kind; `left_attrs` and `right_attrs` are the attributes of the
+/// predicate applied at the node that each side owns (CrossingOps carries
+/// them per ccp).
+KeyProperties ComputeJoinKeys(PlanOp plan_op, const PlanNode& left,
+                              const PlanNode& right, AttrSet left_attrs,
+                              AttrSet right_attrs);
 
 /// κ for Γ_{group_by}: group_by becomes a key; child keys that survive the
 /// projection onto group_by remain keys. The result is duplicate-free.

@@ -138,6 +138,10 @@ CrossingOps PlanBuilder::FindCrossingOps(RelSet s1, RelSet s2) {
     return out;
   }
   out.info = InternCrossing(mask, crossing, count);
+  const AttrSet refs = out.info->predicate.ReferencedAttrs();
+  const Catalog& catalog = query_->catalog();
+  out.left_join_attrs = catalog.AttributesOf(out.swap ? s2 : s1, refs);
+  out.right_join_attrs = catalog.AttributesOf(out.swap ? s1 : s2, refs);
   out.valid = true;
   return out;
 }
@@ -154,8 +158,9 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
   node->crossing = crossing.info;
   double selectivity = info.selectivity;
 
-  KeyProperties keys = ComputeJoinKeys(node->op, query_->catalog(), *left,
-                                       *right, info.predicate);
+  KeyProperties keys =
+      ComputeJoinKeys(node->op, *left, *right, crossing.left_join_attrs,
+                      crossing.right_join_attrs);
   node->keys_ = keys.passthrough != nullptr ? keys.passthrough
                                             : arena_->InternKeys(keys.keys);
   node->duplicate_free = keys.duplicate_free;
@@ -174,10 +179,8 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
       // Distinct join values bound by the grouping-invariant product, so
       // grouped and ungrouped right sides estimate the same existence
       // probability.
-      AttrSet j2 = query_->catalog().AttributesOf(
-          right->rels, info.predicate.ReferencedAttrs());
-      right_match_distinct =
-          estimator_.GroupingCardinality(j2, right->pregroup_cardinality);
+      right_match_distinct = estimator_.GroupingCardinality(
+          crossing.right_join_attrs, right->pregroup_cardinality);
     }
     node->cardinality = estimator_.JoinCardinality(
         crossing.primary_kind, left->cardinality, right->cardinality,
@@ -210,21 +213,28 @@ PlanPtr PlanBuilder::MakeJoin(PlanPtr left, PlanPtr right,
   return node;
 }
 
-bool PlanBuilder::CanPushGrouping(PlanPtr child, OpKind parent,
-                                  bool left_side, AttrSet* g_plus) const {
+GroupingSides PlanBuilder::SideGroupings(RelSet left, RelSet right,
+                                         const CrossingOps& crossing) const {
+  GroupingSides sides;
   // Fig. 3: semijoin, antijoin and groupjoin admit the push on the left
   // side only; inner/outer joins on both sides (right side of E and both
-  // sides of K via the generalized outerjoin with defaults).
-  if (!left_side && LeftOnlyOutput(parent)) return false;
+  // sides of K via the generalized outerjoin with defaults). A pending
+  // groupjoin must see raw rows on its right side.
+  sides.left = !query_->PendingGroupJoinRightIntersects(left);
+  sides.right = !LeftOnlyOutput(crossing.primary_kind) &&
+                !query_->PendingGroupJoinRightIntersects(right);
+  if (sides.left) sides.left_g_plus = query_->GroupByPlus(left);
+  if (sides.right) sides.right_g_plus = query_->GroupByPlus(right);
+  return sides;
+}
+
+bool PlanBuilder::CanPushGrouping(PlanPtr child, AttrSet g_plus) const {
   // Grouping a grouping is never useful (its grouping attributes are
   // already a key).
   if (child->op == PlanOp::kGroup) return false;
-  // A pending groupjoin must see raw rows on its right side.
-  if (query_->PendingGroupJoinRightIntersects(child->rels)) return false;
-  *g_plus = query_->GroupByPlus(child->rels);
-  if (!NeedsGrouping(*g_plus, *child)) return false;  // waste (Fig. 6)
+  if (!NeedsGrouping(g_plus, *child)) return false;  // waste (Fig. 6)
   // Every raw slot outside G+ must be decomposable (agg_state.h CanGroup).
-  return child->raw_nondecomp.IsSubsetOf(*g_plus);
+  return child->raw_nondecomp.IsSubsetOf(g_plus);
 }
 
 PlanPtr PlanBuilder::MakeGrouping(PlanPtr child, AttrSet g_plus) {
@@ -256,19 +266,17 @@ PlanPtr PlanBuilder::MakeGrouping(PlanPtr child, AttrSet g_plus) {
 }
 
 void PlanBuilder::OpTrees(PlanPtr t1, PlanPtr t2, const CrossingOps& crossing,
+                          const GroupingSides& sides,
                           std::vector<PlanPtr>* out) {
   bool top = t1->rels.Union(t2->rels) == query_->AllRelations();
   auto add = [&](PlanPtr t) { out->push_back(top ? FinalizeTop(t) : t); };
 
   add(MakeJoin(t1, t2, crossing));
 
-  AttrSet g1_plus;
-  AttrSet g2_plus;
-  bool push_left = CanPushGrouping(t1, crossing.primary_kind, true, &g1_plus);
-  bool push_right =
-      CanPushGrouping(t2, crossing.primary_kind, false, &g2_plus);
-  PlanPtr g1 = push_left ? MakeGrouping(t1, g1_plus) : nullptr;
-  PlanPtr g2 = push_right ? MakeGrouping(t2, g2_plus) : nullptr;
+  bool push_left = sides.left && CanPushGrouping(t1, sides.left_g_plus);
+  bool push_right = sides.right && CanPushGrouping(t2, sides.right_g_plus);
+  PlanPtr g1 = push_left ? MakeGrouping(t1, sides.left_g_plus) : nullptr;
+  PlanPtr g2 = push_right ? MakeGrouping(t2, sides.right_g_plus) : nullptr;
 
   if (push_left) add(MakeJoin(g1, t2, crossing));
   if (push_right) add(MakeJoin(t1, g2, crossing));

@@ -53,12 +53,29 @@ namespace eadp {
 /// and selectivities multiply); at most one of them may be non-inner — it
 /// becomes the primary operator and determines the node kind. The payload
 /// (`info`) is interned in the builder's arena and shared by every plan
-/// node built for this operator list.
+/// node built for this operator list. The two sides' join attributes are
+/// facts of the ccp, derived once here rather than per plan pair.
 struct CrossingOps {
   bool valid = false;
   bool swap = false;  ///< apply with arguments (S2, S1) instead of (S1, S2)
   OpKind primary_kind = OpKind::kJoin;
   const CrossingInfo* info = nullptr;  ///< op indices, predicate, selectivity
+  /// The predicate's attributes owned by the left and the right argument
+  /// (after orientation): what κ and the semijoin estimate test.
+  AttrSet left_join_attrs;
+  AttrSet right_join_attrs;
+};
+
+/// The class-level half of the Valid test for both arguments of one
+/// oriented ccp: whether the operator and the pending groupjoins admit a
+/// pushed grouping on that side at all, and the side's G+. A function of
+/// the two classes and the operator, so a ccp computes it once for all of
+/// its plan pairs (PlanBuilder::SideGroupings).
+struct GroupingSides {
+  bool left = false;
+  bool right = false;
+  AttrSet left_g_plus;   ///< G+ of the left class (when `left`)
+  AttrSet right_g_plus;  ///< G+ of the right class (when `right`)
 };
 
 /// Options that alter plan construction. A planning run fills them from
@@ -92,23 +109,31 @@ class PlanBuilder {
   /// already match `crossing.swap`).
   PlanPtr MakeJoin(PlanPtr left, PlanPtr right, const CrossingOps& crossing);
 
-  /// True iff Γ_{G+} may be pushed onto `child` when it becomes the
-  /// `left_side` argument of an operator of kind `parent`. The
-  /// decomposability half is `child->raw_nondecomp ⊆ G+`, which equals
-  /// CanGroup on the materialized child. On true, `*g_plus` holds
-  /// G+ = Query::GroupByPlus(child->rels), ready for MakeGrouping.
-  bool CanPushGrouping(PlanPtr child, OpKind parent, bool left_side,
-                       AttrSet* g_plus) const;
+  /// The class-level grouping facts of the cut with `left` and `right` as
+  /// the arguments of `crossing` (see GroupingSides).
+  GroupingSides SideGroupings(RelSet left, RelSet right,
+                              const CrossingOps& crossing) const;
 
-  /// Γ_{G+}(child), with `g_plus` as CanPushGrouping returned it.
-  /// Precondition: CanPushGrouping.
+  /// True iff Γ_{G+} may be pushed onto `child`, given that its class
+  /// admits it with `g_plus` (GroupingSides): `child` is no grouping
+  /// itself, the grouping is no waste, and `child->raw_nondecomp ⊆ G+`
+  /// (which equals CanGroup on the materialized child).
+  bool CanPushGrouping(PlanPtr child, AttrSet g_plus) const;
+
+  /// Γ_{G+}(child). Precondition: CanPushGrouping(child, g_plus).
   PlanPtr MakeGrouping(PlanPtr child, AttrSet g_plus);
 
   /// The OpTrees routine of Fig. 6. Appends up to four trees to `out`;
   /// when S1 ∪ S2 covers the query, trees are finalized (top grouping or
-  /// Eqv. 42 map).
+  /// Eqv. 42 map). `sides` is SideGroupings of t1's and t2's classes; the
+  /// overload without it derives it, for callers with a single pair.
   void OpTrees(PlanPtr t1, PlanPtr t2, const CrossingOps& crossing,
-               std::vector<PlanPtr>* out);
+               const GroupingSides& sides, std::vector<PlanPtr>* out);
+  void OpTrees(PlanPtr t1, PlanPtr t2, const CrossingOps& crossing,
+               std::vector<PlanPtr>* out) {
+    OpTrees(t1, t2, crossing, SideGroupings(t1->rels, t2->rels, crossing),
+            out);
+  }
 
   /// Adds the top grouping / finalization to a plan covering all relations.
   PlanPtr FinalizeTop(PlanPtr t);

@@ -1,5 +1,7 @@
 #include "plangen/plan.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace eadp {
@@ -134,13 +136,34 @@ int PlanNode::PushedGroupingCount() const {
 }
 
 const KeySet* PlanArena::InternKeys(const KeySet& keys) {
-  std::vector<const KeySet*>& bucket = key_interner_[keys.Hash()];
-  for (const KeySet* k : bucket) {
-    if (*k == keys) return k;
+  if ((interned_keys_ + 1) * 2 > key_index_.size()) GrowKeyIndex();
+  const uint64_t hash = keys.Hash();
+  const size_t mask = key_index_.size() - 1;
+  for (size_t at = hash & mask;; at = (at + 1) & mask) {
+    KeySlot& slot = key_index_[at];
+    if (slot.keys == nullptr) {
+      slot.hash = hash;
+      slot.keys = arena_.New<KeySet>(keys);
+      ++interned_keys_;
+      return slot.keys;
+    }
+    if (slot.hash == hash && *slot.keys == keys) return slot.keys;
   }
-  const KeySet* owned = arena_.New<KeySet>(keys);
-  bucket.push_back(owned);
-  return owned;
+}
+
+void PlanArena::GrowKeyIndex() {
+  // A DP run interns a few dozen sets; 64 slots hold 32 before the first
+  // doubling.
+  constexpr size_t kMinSlots = 64;
+  std::vector<KeySlot> old = std::move(key_index_);
+  key_index_.assign(std::max(old.size() * 2, kMinSlots), KeySlot{});
+  const size_t mask = key_index_.size() - 1;
+  for (const KeySlot& slot : old) {
+    if (slot.keys == nullptr) continue;
+    size_t at = slot.hash & mask;
+    while (key_index_[at].keys != nullptr) at = (at + 1) & mask;
+    key_index_[at] = slot;
+  }
 }
 
 }  // namespace eadp

@@ -23,8 +23,8 @@
 #ifndef EADP_PLANGEN_PLAN_H_
 #define EADP_PLANGEN_PLAN_H_
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/operator_tree.h"
@@ -171,7 +171,10 @@ struct PlanNode {
 /// hands the arena to OptimizeResult, which keeps the returned plan alive;
 /// standalone PlanBuilder users (tests) get one implicitly. Also hosts the
 /// KeySet interner: within one arena, equal key sets resolve to the same
-/// pointer, which the dominance test exploits.
+/// pointer, which the dominance test exploits. The interner is a flat
+/// open-addressing table of (content hash, pointer) slots, created on the
+/// first intern and doubled when half full, so interning a new set costs
+/// its arena bytes and no heap allocation of its own.
 class PlanArena {
  public:
   /// The DP's arena: an eager first block (see Arena()).
@@ -196,6 +199,8 @@ class PlanArena {
 
   /// Returns the unique arena-owned KeySet equal to `keys`.
   const KeySet* InternKeys(const KeySet& keys);
+  /// Distinct key sets interned so far.
+  size_t interned_keys() const { return interned_keys_; }
 
   /// Ties `sibling`'s lifetime to this arena: plans built by the
   /// intra-query parallel DP mix nodes from per-worker arenas (a node's
@@ -221,9 +226,17 @@ class PlanArena {
   }
 
  private:
+  struct KeySlot {
+    uint64_t hash = 0;
+    const KeySet* keys = nullptr;  ///< null: free slot
+  };
+  /// Doubles the interner table (or creates it) and re-files every set.
+  void GrowKeyIndex();
+
   Arena arena_;
-  /// Content hash -> interned KeySets with that hash (collision chain).
-  std::unordered_map<uint64_t, std::vector<const KeySet*>> key_interner_;
+  /// The interner: a power of two in size (or empty), at most half full.
+  std::vector<KeySlot> key_index_;
+  size_t interned_keys_ = 0;
   std::vector<std::shared_ptr<PlanArena>> siblings_;
   size_t nodes_ = 0;
 };

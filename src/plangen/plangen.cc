@@ -63,14 +63,11 @@ class Generator {
                  std::make_shared<PlanArena>()),
         combiner_(&query, &builder_, &dp_, options.algorithm, cost_bound,
                   options.h2_tolerance) {
+    // The table sizes itself from the classes the run creates: a bounded
+    // re-plan fills a few dozen of the up to 2^n.
     dp_.SetDominanceOptions(!options.prune_without_cardinality,
                             !options.prune_without_keys,
                             options.full_fd_dominance);
-    // Sized for the worst case (every connected subgraph becomes a class),
-    // capped so large queries don't pre-pay for classes the enumeration
-    // may never reach — past the cap the table grows geometrically anyway.
-    int n = query.NumRelations();
-    dp_.Reserve(size_t{1} << std::min(n, 12));
   }
 
   OptimizeResult Run() {

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "plangen/plan.h"
+#include "plangen/plan_serde.h"
+#include "plangen/plangen.h"
+#include "queries/tpch.h"
 
 namespace eadp {
 namespace {
@@ -138,6 +142,71 @@ TEST(PlanArena, InternKeysDeduplicates) {
   EXPECT_EQ(k1->size(), 2u);
   EXPECT_EQ(k3->size(), 1u);
   EXPECT_TRUE(empty1->empty());
+}
+
+TEST(PlanArena, InternedKeysStayUniqueAcrossIndexGrowths) {
+  // 300 distinct sets outgrow the interner's 64 first slots three times
+  // (it doubles when half full); every set, re-interned after all the
+  // growths, still resolves to the pointer it got first.
+  PlanArena arena;
+  std::vector<KeySet> sets;
+  for (int a = 0; a < 30; ++a) {
+    for (int b = 0; b < 10; ++b) {
+      AttrSet key = AttrSet::Single(a);
+      key.Add(60 + b);
+      sets.push_back(KeySet{key, AttrSet::Single(100 + a % 3)});
+    }
+  }
+  std::vector<const KeySet*> first;
+  for (const KeySet& k : sets) first.push_back(arena.InternKeys(k));
+  EXPECT_EQ(arena.interned_keys(), sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const KeySet* again = arena.InternKeys(KeySet(sets[i]));
+    EXPECT_EQ(again, first[i]) << i;
+    EXPECT_EQ(*again, sets[i]) << i;
+  }
+  std::vector<const KeySet*> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end())
+      << "distinct sets share a pointer";
+  EXPECT_EQ(arena.interned_keys(), sets.size());
+}
+
+/// Every node of `plan`, preorder.
+void CollectNodes(PlanPtr plan, std::vector<PlanPtr>* out) {
+  if (plan == nullptr) return;
+  out->push_back(plan);
+  CollectNodes(plan->left, out);
+  CollectNodes(plan->right, out);
+}
+
+/// True iff nodes whose key sets are equal share one key-set pointer.
+bool EqualKeySetsShareAPointer(PlanPtr plan) {
+  std::vector<PlanPtr> nodes;
+  CollectNodes(plan, &nodes);
+  for (PlanPtr a : nodes) {
+    for (PlanPtr b : nodes) {
+      if (a->keys_ != nullptr && b->keys_ != nullptr &&
+          a->keys() == b->keys() && a->keys_ != b->keys_) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(PlanArena, DecodedPlansKeepEqualKeySetsPointerEqual) {
+  // The decoder allocates key sets without the interner, one per distinct
+  // set of the blob, so a decoded plan keeps the DP plan's pointer
+  // equality.
+  for (Query (*make)() : {&MakeTpchQ5, &MakeTpchQ10, &MakeTpchQ18}) {
+    OptimizeResult planned = Optimize(make(), OptimizerOptions{});
+    ASSERT_NE(planned.plan, nullptr);
+    EXPECT_TRUE(EqualKeySetsShareAPointer(planned.plan));
+    OptimizeResult decoded;
+    ASSERT_TRUE(DecodePlan(EncodePlan(planned), &decoded));
+    EXPECT_TRUE(EqualKeySetsShareAPointer(decoded.plan));
+  }
 }
 
 TEST(KeySet, InsertKeepsMinimality) {

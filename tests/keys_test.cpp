@@ -38,6 +38,15 @@ struct Fixture {
     right.keys_ = &right_keys;
   }
 
+  /// κ at a node applying `pred`, each side's join attributes split off
+  /// the predicate as CrossingOps carries them.
+  KeyProperties JoinKeys(PlanOp op, const JoinPredicate& pred) const {
+    AttrSet refs = pred.ReferencedAttrs();
+    return ComputeJoinKeys(op, left, right,
+                           catalog.AttributesOf(left.rels, refs),
+                           catalog.AttributesOf(right.rels, refs));
+  }
+
   JoinPredicate PredKK() {
     JoinPredicate p;
     p.AddEquality(0, 2);
@@ -56,8 +65,7 @@ TEST(Keys, InnerJoinBothSidesKeyed) {
   f.left.duplicate_free = true;
   f.right_keys = {Set({2})};
   f.right.duplicate_free = true;
-  KeyProperties k = ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
-                                    f.PredKK());
+  KeyProperties k = f.JoinKeys(PlanOp::kJoin, f.PredKK());
   // Both join attrs are keys: κ = κ(e1) ∪ κ(e2).
   EXPECT_TRUE(k.duplicate_free);
   EXPECT_TRUE(HasKeySubset(k.keys, Set({0})));
@@ -75,7 +83,7 @@ TEST(Keys, InnerJoinLeftKeyOnly) {
   JoinPredicate p;
   p.AddEquality(0, 3);
   KeyProperties k =
-      ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right, p);
+      f.JoinKeys(PlanOp::kJoin, p);
   EXPECT_TRUE(HasKeySubset(k.keys, Set({2})));
   EXPECT_FALSE(HasKeySubset(k.keys, Set({0})));
 }
@@ -92,35 +100,31 @@ TEST(Keys, UnchangedChildKeysPassThroughByPointer) {
   key_x.AddEquality(0, 3);
   JoinPredicate x_key;  // R0.x = R1.k: right key only -> left keys survive
   x_key.AddEquality(1, 2);
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right, key_x)
+  EXPECT_EQ(f.JoinKeys(PlanOp::kJoin, key_x)
                 .passthrough,
             &f.right_keys);
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right, x_key)
+  EXPECT_EQ(f.JoinKeys(PlanOp::kJoin, x_key)
                 .passthrough,
             &f.left_keys);
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kLeftOuter, f.catalog, f.left, f.right,
-                            x_key)
+  EXPECT_EQ(f.JoinKeys(PlanOp::kLeftOuter, x_key)
                 .passthrough,
             &f.left_keys);
   for (PlanOp op : {PlanOp::kLeftSemi, PlanOp::kLeftAnti,
                     PlanOp::kGroupJoin}) {
     KeyProperties k =
-        ComputeJoinKeys(op, f.catalog, f.left, f.right, f.PredXX());
+        f.JoinKeys(op, f.PredXX());
     EXPECT_EQ(k.passthrough, &f.left_keys);
     EXPECT_TRUE(k.keys == f.left_keys);
   }
   // Computed sets carry no pointer: both keyed (merged), neither keyed
   // (pairwise unions), full outer join.
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
-                            f.PredKK())
+  EXPECT_EQ(f.JoinKeys(PlanOp::kJoin, f.PredKK())
                 .passthrough,
             nullptr);
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
-                            f.PredXX())
+  EXPECT_EQ(f.JoinKeys(PlanOp::kJoin, f.PredXX())
                 .passthrough,
             nullptr);
-  EXPECT_EQ(ComputeJoinKeys(PlanOp::kFullOuter, f.catalog, f.left, f.right,
-                            f.PredKK())
+  EXPECT_EQ(f.JoinKeys(PlanOp::kFullOuter, f.PredKK())
                 .passthrough,
             nullptr);
 }
@@ -132,8 +136,7 @@ TEST(Keys, InnerJoinNoKeysCombines) {
   f.right_keys = {Set({2})};
   f.right.duplicate_free = true;
   // Join on non-key attrs both sides: pairwise unions.
-  KeyProperties k = ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
-                                    f.PredXX());
+  KeyProperties k = f.JoinKeys(PlanOp::kJoin, f.PredXX());
   EXPECT_FALSE(HasKeySubset(k.keys, Set({0})));
   EXPECT_TRUE(HasKeySubset(k.keys, Set({0, 2})));
 }
@@ -144,8 +147,7 @@ TEST(Keys, LeftOuterJoinRightKeyPreservesLeftKeys) {
   f.left.duplicate_free = true;
   f.right_keys = {Set({2})};
   f.right.duplicate_free = true;
-  KeyProperties k = ComputeJoinKeys(PlanOp::kLeftOuter, f.catalog, f.left,
-                                    f.right, f.PredKK());
+  KeyProperties k = f.JoinKeys(PlanOp::kLeftOuter, f.PredKK());
   EXPECT_TRUE(HasKeySubset(k.keys, Set({0})));
   // Right keys do NOT survive a left outerjoin (padded NULL rows collide).
   EXPECT_FALSE(HasKeySubset(k.keys, Set({2})));
@@ -157,8 +159,7 @@ TEST(Keys, FullOuterAlwaysCombines) {
   f.left.duplicate_free = true;
   f.right_keys = {Set({2})};
   f.right.duplicate_free = true;
-  KeyProperties k = ComputeJoinKeys(PlanOp::kFullOuter, f.catalog, f.left,
-                                    f.right, f.PredKK());
+  KeyProperties k = f.JoinKeys(PlanOp::kFullOuter, f.PredKK());
   EXPECT_FALSE(HasKeySubset(k.keys, Set({0})));
   EXPECT_FALSE(HasKeySubset(k.keys, Set({2})));
   EXPECT_TRUE(HasKeySubset(k.keys, Set({0, 2})));
@@ -171,7 +172,7 @@ TEST(Keys, SemiAntiGroupjoinKeepLeftKeys) {
   for (PlanOp op :
        {PlanOp::kLeftSemi, PlanOp::kLeftAnti, PlanOp::kGroupJoin}) {
     KeyProperties k =
-        ComputeJoinKeys(op, f.catalog, f.left, f.right, f.PredKK());
+        f.JoinKeys(op, f.PredKK());
     EXPECT_EQ(k.keys.size(), 1u);
     EXPECT_EQ(k.keys[0], Set({0}));
     EXPECT_TRUE(k.duplicate_free);
@@ -180,8 +181,7 @@ TEST(Keys, SemiAntiGroupjoinKeepLeftKeys) {
 
 TEST(Keys, DuplicateBagsStayDuplicate) {
   Fixture f;  // no keys, not duplicate free
-  KeyProperties k = ComputeJoinKeys(PlanOp::kJoin, f.catalog, f.left, f.right,
-                                    f.PredKK());
+  KeyProperties k = f.JoinKeys(PlanOp::kJoin, f.PredKK());
   EXPECT_FALSE(k.duplicate_free);
   EXPECT_TRUE(k.keys.empty());
 }
