@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -167,16 +166,6 @@ std::unique_ptr<PersistentPlanCache> PersistentPlanCache::Open(
       cache->active_segment_ = static_cast<int>(cache->segments_.size() - 1);
     }
   }
-  // Everything but the active segment is sealed history — serve it via
-  // mmap (pread stays the fallback when a map fails). A segment whose
-  // records were all superseded serves nothing and stays unmapped.
-  for (size_t i = 0; i < cache->segments_.size(); ++i) {
-    Segment& seg = cache->segments_[i];
-    if (static_cast<int>(i) != cache->active_segment_ &&
-        seg.live_records > 0) {
-      cache->MapSegmentLocked(seg);
-    }
-  }
 
   if (options.write_behind) {
     cache->writer_ = std::thread(&PersistentPlanCache::WriterLoop,
@@ -231,8 +220,10 @@ void PersistentPlanCache::RecoverSegment(uint32_t seg_index, bool is_newest) {
   good_end = kSegmentHeaderBytes;
 
   // Record scan: stop at the first violation; everything before it is
-  // servable history.
+  // servable history. Each record body is one read into `buffer`, reused
+  // across the scan.
   bool torn = false;
+  std::string buffer;
   while (good_end < seg.size) {
     char rec_header[kRecordHeaderBytes];
     if (seg.size - good_end < kRecordHeaderBytes ||
@@ -251,18 +242,14 @@ void PersistentPlanCache::RecoverSegment(uint32_t seg_index, bool is_newest) {
       torn = true;
       break;
     }
-    std::string key(key_len, '\0');
-    std::string overlay_bytes(overlay_len, '\0');
-    std::string blob(blob_len, '\0');
-    if (!ReadExact(seg.fd, good_end + kRecordHeaderBytes, key.data(),
-                   key_len) ||
-        !ReadExact(seg.fd, good_end + kRecordHeaderBytes + key_len,
-                   overlay_bytes.data(), overlay_len) ||
-        !ReadExact(seg.fd,
-                   good_end + kRecordHeaderBytes + key_len + overlay_len,
-                   blob.data(), blob_len) ||
+    if (buffer.size() < body) buffer.resize(body);
+    std::string_view record(buffer.data(), body);
+    std::string_view key = record.substr(0, key_len);
+    std::string_view overlay_bytes = record.substr(key_len, overlay_len);
+    if (!ReadExact(seg.fd, good_end + kRecordHeaderBytes, buffer.data(),
+                   body) ||
         RecordCrc(key_len, overlay_len, blob_len, key, overlay_bytes,
-                  blob) != crc) {
+                  record.substr(key_len + overlay_len)) != crc) {
       torn = true;
       break;
     }
@@ -274,7 +261,7 @@ void PersistentPlanCache::RecoverSegment(uint32_t seg_index, bool is_newest) {
       break;
     }
     QueryFingerprint fp;
-    fp.canonical = std::move(key);
+    fp.canonical = key;
     RehashFingerprint(&fp);
     Location loc;
     loc.hash2 = fp.hash2;
@@ -313,7 +300,6 @@ PersistentPlanCache::~PersistentPlanCache() {
     queue_cv_.notify_all();
     writer_.join();  // drains the queue before exiting
   }
-  // Maps unmap when segments_ (the last holder of each) is destroyed.
   for (Segment& seg : segments_) {
     if (seg.fd >= 0) {
       if (seg.writable) ::fdatasync(seg.fd);
@@ -322,35 +308,13 @@ PersistentPlanCache::~PersistentPlanCache() {
   }
 }
 
-void PersistentPlanCache::MapSegmentLocked(Segment& seg) {
-  if (seg.map != nullptr || seg.fd < 0 || seg.size == 0) return;
-  void* map = ::mmap(nullptr, seg.size, PROT_READ, MAP_SHARED, seg.fd, 0);
-  if (map == MAP_FAILED) return;  // pread fallback keeps serving
-  size_t len = seg.size;
-  seg.map = std::shared_ptr<const char>(
-      static_cast<const char*>(map),
-      [len](const char* p) { ::munmap(const_cast<char*>(p), len); });
-  seg.map_len = len;
-  ++stats_.mmap_segments;
-}
-
 void PersistentPlanCache::IndexRecordLocked(uint64_t hash,
                                             const Location& loc) {
-  ++segments_[loc.segment].live_records;
   auto& chain = index_[hash];
   for (Location& existing : chain) {
     if (existing.hash2 != loc.hash2) continue;
-    Segment& old = segments_[existing.segment];
     existing = loc;
     ++stats_.superseded_records;
-    // The old record's segment may now be dead. The active segment is
-    // never mapped; a sealed one gives its map up (in-flight Gets hold
-    // their own reference until they finish reading).
-    if (--old.live_records == 0 && old.map != nullptr) {
-      old.map.reset();
-      old.map_len = 0;
-      --stats_.mmap_segments;
-    }
     return;
   }
   chain.push_back(loc);
@@ -386,13 +350,11 @@ bool PersistentPlanCache::Get(const QueryFingerprint& fp,
                               StatsOverlay* overlay, OptimizeResult* out) {
   // The index keeps one record per 128-bit hash (IndexRecordLocked moves
   // an equal hash2 to the newer record), so there is one candidate at
-  // most. The lock covers only the copy: records are immutable, fds stay
-  // open for the cache's lifetime and `map` holds the segment's mapping,
-  // so a concurrent supersede cannot unmap it mid-read.
+  // most. The lock covers only the copy: records are immutable and fds stay
+  // open for the cache's lifetime, so a concurrent supersede cannot change
+  // the bytes this Get reads.
   Location loc;
   int fd = -1;
-  std::shared_ptr<const char> map;
-  size_t map_len = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Location* found = nullptr;
@@ -410,31 +372,18 @@ bool PersistentPlanCache::Get(const QueryFingerprint& fp,
       return false;
     }
     loc = *found;
-    const Segment& seg = segments_[loc.segment];
-    fd = seg.fd;
-    map = seg.map;
-    map_len = seg.map_len;
+    fd = segments_[loc.segment].fd;
   }
 
-  // Key, overlay and blob are contiguous: one span, read in place from a
-  // mapped sealed segment, or with one pread into this thread's reused
-  // buffer (the active segment, a failed map, or a record straddling the
-  // mapped prefix).
-  const uint64_t start = loc.offset + kRecordHeaderBytes;
+  // Key, overlay and blob are contiguous: one span, read with one pread
+  // into this thread's reused buffer, whatever segment holds it.
   const size_t len =
       static_cast<size_t>(loc.key_len) + loc.overlay_len + loc.blob_len;
-  const bool mapped = map != nullptr && start + len <= map_len;
-  std::string_view record;
-  if (mapped) {
-    record = std::string_view(map.get() + start, len);
-  } else {
-    thread_local std::string buffer;
-    if (buffer.size() < len) buffer.resize(len);
-    if (ReadExact(fd, start, buffer.data(), len)) {
-      record = std::string_view(buffer.data(), len);
-    }
-  }
-  if (record.size() != len || record.substr(0, loc.key_len) != fp.canonical) {
+  thread_local std::string buffer;
+  if (buffer.size() < len) buffer.resize(len);
+  std::string_view record(buffer.data(), len);
+  if (!ReadExact(fd, loc.offset + kRecordHeaderBytes, buffer.data(), len) ||
+      record.substr(0, loc.key_len) != fp.canonical) {
     // Hash collision (or an unreadable record): not our key.
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
@@ -460,11 +409,7 @@ bool PersistentPlanCache::Get(const QueryFingerprint& fp,
       return false;
     }
     ++stats_.hits;
-    if (mapped) {
-      ++stats_.mmap_serves;
-    } else {
-      ++stats_.pread_serves;
-    }
+    ++stats_.pread_serves;
   }
   if (overlay != nullptr) *overlay = std::move(parsed);
   *out = std::move(decoded);
@@ -503,17 +448,12 @@ void PersistentPlanCache::Put(const QueryFingerprint& fp,
   }
 }
 
-int PersistentPlanCache::EnsureActiveSegmentLocked(size_t record_bytes) {
-  (void)record_bytes;  // a record may overshoot the cap by itself; the
-                       // cap bounds *when we roll*, not record size
+int PersistentPlanCache::EnsureActiveSegmentLocked() {
   if (active_segment_ >= 0) {
-    Segment& seg = segments_[active_segment_];
+    const Segment& seg = segments_[active_segment_];
     if (seg.writable && seg.size < options_.max_segment_bytes) {
       return active_segment_;
     }
-    // Rolling over: the outgoing active segment is sealed from here on —
-    // switch its reads to mmap, unless every record in it is superseded.
-    if (seg.live_records > 0) MapSegmentLocked(seg);
   }
   uint64_t id = segments_.empty() ? 0 : segments_.back().id + 1;
   std::string path = options_.directory + "/" + SegmentName(id);
@@ -565,7 +505,7 @@ void PersistentPlanCache::AppendRecord(const PendingWrite& w) {
       if (v.empty()) pending_hashes_.erase(it);
     }
   };
-  int seg_index = EnsureActiveSegmentLocked(record.size());
+  int seg_index = EnsureActiveSegmentLocked();
   if (seg_index < 0) {
     ++stats_.io_errors;
     drop_pending();
@@ -681,9 +621,6 @@ std::string CacheTierStatsToJson(const PlanCache* l1,
     field(&out, "superseded_records", s.superseded_records);
     field(&out, "records", s.records);
     field(&out, "segments", s.segments);
-    field(&out, "mmap_segments", s.mmap_segments);
-    field(&out, "mmap_serves", s.mmap_serves);
-    field(&out, "pread_serves", s.pread_serves);
     field(&out, "bytes_on_disk", s.bytes_on_disk);
     out += '}';
   } else {

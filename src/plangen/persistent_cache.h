@@ -50,21 +50,13 @@
 // fresh arena per hit, so served plans share nothing mutable.
 //
 // Read path: a record's key, overlay and blob are contiguous, and Get reads
-// them as one span. Sealed segments (every segment except the active one —
-// they are immutable by construction) are mmap'd read-only and the span is
-// used in place; the active segment, and any segment whose mmap failed, is
-// read with one pread into a per-thread buffer that is reused across Gets.
-// The key is compared byte for byte, a requested overlay against the hash the
-// record was indexed under, and the blob by its own CRC, so a record damaged
-// after it was indexed is a miss or a decode failure, never a serve. Each
-// segment counts the index entries that point into it; once every record of a
-// sealed segment has been superseded the segment serves nothing and its map
-// is dropped, so the pages a dead segment once faulted in stop counting
-// toward the process's RSS. Maps are held by shared ownership: a Get copies
-// the map handle with its candidate under the lock, so a supersede racing
-// that Get unmaps only after the Get has finished reading. Open() never maps
-// a dead segment. The files themselves stay (history and recovery are
-// unchanged).
+// them as one span with one pread into a per-thread buffer that is reused
+// across Gets — from every segment, sealed or active. The key is compared
+// byte for byte, a requested overlay against the hash the record was indexed
+// under, and the blob by its own CRC, so a record damaged after it was
+// indexed is a miss or a decode failure, never a serve. Nothing is mapped:
+// a mapped read path measured no faster on serve_churn and charged every
+// page it faulted to the process's RSS (DESIGN.md §13).
 //
 // Coherence with the memory tier: both tiers key on the same canonical
 // fingerprint; OptimizeThroughCache probes memory first, then disk
@@ -96,7 +88,8 @@ struct PersistentCacheOptions {
   /// Segment directory. Created if missing (one level). Required.
   std::string directory;
   /// Appends roll over to a fresh segment once the active one exceeds
-  /// this. Smaller segments bound the blast radius of a torn tail.
+  /// this. Smaller segments bound the blast radius of a torn tail. A record
+  /// may overshoot the cap; the cap decides when to roll, not record size.
   size_t max_segment_bytes = 8u << 20;
   /// true: Put() enqueues to a background writer thread (production —
   /// planning never blocks on disk). false: Put() appends synchronously
@@ -127,16 +120,11 @@ struct PersistentCacheStats {
   uint64_t superseded_records = 0;
   size_t records = 0;        ///< indexed, servable records
   size_t segments = 0;       ///< segment files attached (incl. skipped)
-  /// Sealed segments currently mapped; falls when a fully superseded
-  /// segment is unmapped.
-  size_t mmap_segments = 0;
   size_t bytes_on_disk = 0;  ///< sum of attached segment file sizes
-  /// Which read path served each hit: a hit whose record bytes all came
-  /// from a mapped sealed segment counts as mmap_serves; any hit that
-  /// touched the pread fallback (active segment, failed map, or a record
-  /// straddling the mapped prefix) counts as pread_serves. The two sum to
-  /// `hits`. Warm reopened caches serve via mmap (Open maps every sealed
-  /// segment; pinned by persistent_cache_test).
+  /// Every hit is read with one pread, so pread_serves == hits and
+  /// mmap_serves stays 0. Both stay only because the benchmark's per-layer
+  /// rows and run metadata read them; ROADMAP 2(d)'s benchmark change drops
+  /// them.
   uint64_t mmap_serves = 0;
   uint64_t pread_serves = 0;
 
@@ -208,13 +196,6 @@ class PersistentPlanCache {
     int fd = -1;
     uint64_t size = 0;  ///< valid bytes (post tail-truncation)
     bool writable = false;
-    /// Read-only mapping of a sealed segment; null = serve via pread.
-    /// Shared with in-flight Gets; the last holder munmaps.
-    std::shared_ptr<const char> map;
-    size_t map_len = 0;
-    /// Index entries that point into this segment. A sealed segment at
-    /// zero is dead: nothing in it can be served again.
-    size_t live_records = 0;
   };
   struct PendingWrite {
     uint64_t hash = 0;
@@ -237,14 +218,9 @@ class PersistentPlanCache {
   bool ContainsLocked(uint64_t hash, uint64_t hash2,
                       uint64_t overlay_hash) const;
 
-  /// Maps a sealed segment read-only (idempotent; failure leaves the
-  /// pread fallback in place). Caller holds mu_.
-  void MapSegmentLocked(Segment& seg);
-
   /// Points the index at `loc` for key hash `hash` — newest record wins,
-  /// so an indexed key with the same hash2 moves to it — and keeps the
-  /// per-segment live counts. A sealed segment whose last live record is
-  /// superseded is unmapped. Caller holds mu_ (or is Open()).
+  /// so an indexed key with the same hash2 moves to it. Caller holds mu_
+  /// (or is Open()).
   void IndexRecordLocked(uint64_t hash, const Location& loc);
 
   /// Appends one record to the active segment (rolling over if needed)
@@ -252,10 +228,10 @@ class PersistentPlanCache {
   /// write_behind is off.
   void AppendRecord(const PendingWrite& w);
 
-  /// Ensures an active writable segment with room for `record_bytes`.
-  /// Returns its index into segments_, or -1 on I/O failure. Caller
-  /// holds mu_.
-  int EnsureActiveSegmentLocked(size_t record_bytes);
+  /// Ensures an active writable segment below max_segment_bytes, rolling
+  /// a fresh one if needed. Returns its index into segments_, or -1 on I/O
+  /// failure. Caller holds mu_.
+  int EnsureActiveSegmentLocked();
 
   void WriterLoop();
 

@@ -13,14 +13,14 @@
 //   * tier coherence — OptimizeThroughCache reports cache_tier 0 (fresh)
 //     / 1 (memory) / 2 (disk), disk hits are promoted into memory, and
 //     a fresh plan lands in both tiers;
-//   * unmapping — a sealed segment whose records are all superseded loses
-//     its map (mmap_segments drops, Open does not map it again) while
-//     every key still serves its newest plan bit for bit;
+//   * one read path — every segment, sealed or active, is read with
+//     pread and never mapped; a key superseded across sealed segments
+//     serves its newest plan and overlay, before and after reopen;
 //   * concurrency — parallel Get/Put against the write-behind path, and
-//     Gets racing the supersedes that unmap their segments;
+//     Gets racing the supersedes of the records they read;
 //   * the one-read Get — a byte flipped in an indexed record's key,
-//     overlay or blob, on the mapped and on the pread path, is a miss or
-//     a decode failure, never a serve;
+//     overlay or blob, in a sealed and in the active segment, is a miss
+//     or a decode failure, never a serve;
 //   * cross-build directories — a committed directory written by an
 //     earlier build of the same record and blob formats serves here
 //     (EmitGoldenDirectory rewrites it).
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -312,7 +313,17 @@ TEST(PersistentCache, SegmentRollover) {
   for (const PlannedQuery& p : planned) ExpectServes(reopened.get(), p);
 }
 
-TEST(PersistentCache, WarmGetsServeViaMmap) {
+/// Lines of /proc/self/maps that name a file under `dir`.
+std::vector<std::string> MappedFilesUnder(const std::string& dir) {
+  std::vector<std::string> lines;
+  std::istringstream maps(ReadFile("/proc/self/maps"));
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(dir + "/") != std::string::npos) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(PersistentCache, SegmentsAreNeverMapped) {
   TempDir dir;
   PersistentCacheOptions opts;
   opts.directory = dir.path();
@@ -324,30 +335,25 @@ TEST(PersistentCache, WarmGetsServeViaMmap) {
   {
     auto cache = OpenOrDie(opts);
     for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
-    // Rollover seals (and maps) every segment but the active one, so the
-    // first warm pass already serves the sealed records from the mapping.
-    for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
-    PersistentCacheStats s = cache->Snapshot();
-    EXPECT_EQ(s.mmap_serves + s.pread_serves, s.hits);
-    EXPECT_GE(s.mmap_serves, 4u);  // all but the still-active tail segment
   }
+  ASSERT_EQ(ListSegments(dir.path()).size(), 5u);
 
-  // Reopen: every full segment is sealed history, mapped by Open — a warm
-  // restarted process serves *exclusively* via the mmap read path.
+  // Reopened under the same cap, every segment is sealed history; each
+  // key serves bit for bit, read with one pread, and no segment file is
+  // mapped into the process.
   auto reopened = OpenOrDie(opts);
   for (const PlannedQuery& p : planned) ExpectServes(reopened.get(), p);
   PersistentCacheStats s = reopened->Snapshot();
+  EXPECT_EQ(s.segments, 5u);
   EXPECT_EQ(s.hits, 5u);
-  EXPECT_EQ(s.mmap_serves, 5u);
-  EXPECT_EQ(s.pread_serves, 0u);
-
-  // The serve-path split is visible to the serving layer's stats JSON.
-  std::string json = CacheTierStatsToJson(nullptr, reopened.get());
-  EXPECT_NE(json.find("\"mmap_serves\":5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"pread_serves\":0"), std::string::npos) << json;
+  EXPECT_EQ(s.pread_serves, s.hits);
+  EXPECT_EQ(s.mmap_serves, 0u);
+  for (const std::string& line : MappedFilesUnder(dir.path())) {
+    ADD_FAILURE() << "segment file mapped: " << line;
+  }
 }
 
-TEST(PersistentCache, FullySupersededSegmentsAreUnmapped) {
+TEST(PersistentCache, NewestRecordServesAcrossSealedSegments) {
   TempDir dir;
   PersistentCacheOptions opts;
   opts.directory = dir.path();
@@ -368,25 +374,20 @@ TEST(PersistentCache, FullySupersededSegmentsAreUnmapped) {
   }
 
   // Reopen with room to spare: the newest segment stays active, the first
-  // four are sealed and mapped.
+  // four are sealed.
   opts.max_segment_bytes = 1u << 20;
   {
     auto cache = OpenOrDie(opts);
     for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
-    EXPECT_EQ(cache->Snapshot().mmap_segments,
-              static_cast<size_t>(kQueries - 1));
 
     // Supersede the sealed segments' records one by one (the updates land
     // in the active segment): each sealed segment loses its only live
-    // record and its map.
+    // record.
     for (int i = 0; i < kQueries - 1; ++i) {
       const PlannedQuery& d = drifted[static_cast<size_t>(i)];
       cache->Put(d.fp, d.overlay, d.result);
-      EXPECT_EQ(cache->Snapshot().mmap_segments,
-                static_cast<size_t>(kQueries - 2 - i));
     }
     PersistentCacheStats s = cache->Snapshot();
-    EXPECT_EQ(s.mmap_segments, 0u);
     EXPECT_EQ(s.superseded_records, static_cast<uint64_t>(kQueries - 1));
     EXPECT_EQ(s.records, static_cast<size_t>(kQueries));
 
@@ -404,9 +405,10 @@ TEST(PersistentCache, FullySupersededSegmentsAreUnmapped) {
     }
   }
 
-  // Open does not map dead segments; the files stay on disk.
+  // Recovery replays the supersedes in append order; the dead segments'
+  // files stay on disk.
   auto reopened = OpenOrDie(opts);
-  EXPECT_EQ(reopened->Snapshot().mmap_segments, 0u);
+  EXPECT_EQ(reopened->Snapshot().records, static_cast<size_t>(kQueries));
   EXPECT_EQ(ListSegments(dir.path()).size(), static_cast<size_t>(kQueries));
   for (int i = 0; i < kQueries - 1; ++i) {
     ExpectServes(reopened.get(), drifted[static_cast<size_t>(i)]);
@@ -674,10 +676,18 @@ TEST(PersistentCache, TierStatsJson) {
   auto l2 = OpenOrDie(popts);
   PlanCache l1;
 
+  PlannedQuery p = PlanNth(0);
+  l2->Put(p.fp, p.overlay, p.result);
+  ExpectServes(l2.get(), p);
+
   std::string json = CacheTierStatsToJson(&l1, l2.get());
   EXPECT_NE(json.find("\"l1\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"l2\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"records\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"l2\":{\"hits\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"records\":1"), std::string::npos) << json;
+  // There is one read path, so `hits` says how every record was read.
+  EXPECT_EQ(json.find("mmap_segments"), std::string::npos) << json;
+  EXPECT_EQ(json.find("mmap_serves"), std::string::npos) << json;
+  EXPECT_EQ(json.find("pread_serves"), std::string::npos) << json;
   EXPECT_EQ(CacheTierStatsToJson(nullptr, nullptr), "{\"l1\":null,\"l2\":null}");
 }
 
@@ -724,11 +734,12 @@ TEST(PersistentCache, ConcurrentGetPut) {
   for (const PlannedQuery& p : planned) ExpectServes(cache.get(), p);
 }
 
-TEST(PersistentCache, GetRacingSupersedeKeepsItsMap) {
-  // Readers copy a sealed segment's map with their candidates; a writer
-  // supersedes every record of those segments meanwhile, which drops the
-  // cache's reference to each map. A Get that copied a map before the
-  // supersede must still read it whole (run under TSan in CI).
+TEST(PersistentCache, GetRacingSupersedeReadsAWholeRecord) {
+  // Readers copy a sealed record's location under the lock and read it
+  // after; a writer supersedes every record of those segments meanwhile.
+  // A Get that copied the old location must still read the old record
+  // whole, and serve either the old or the new plan (run under TSan in
+  // CI).
   TempDir dir;
   PersistentCacheOptions opts;
   opts.directory = dir.path();
@@ -749,8 +760,6 @@ TEST(PersistentCache, GetRacingSupersedeKeepsItsMap) {
   opts.max_segment_bytes = 1u << 20;
   opts.write_behind = true;
   auto cache = OpenOrDie(opts);
-  ASSERT_EQ(cache->Snapshot().mmap_segments,
-            static_cast<size_t>(kQueries - 1));
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
@@ -771,7 +780,8 @@ TEST(PersistentCache, GetRacingSupersedeKeepsItsMap) {
   for (std::thread& t : readers) t.join();
   cache->Flush();
 
-  EXPECT_EQ(cache->Snapshot().mmap_segments, 0u);
+  EXPECT_EQ(cache->Snapshot().superseded_records,
+            static_cast<uint64_t>(kQueries));
   for (const PlannedQuery& d : drifted) ExpectServes(cache.get(), d);
 }
 
@@ -826,8 +836,7 @@ std::pair<std::string, RecordSpan> FindRecord(const std::string& dir,
 void ExpectDamageNeverServes(PersistentPlanCache* cache,
                              const std::string& dir,
                              const PlannedQuery& victim,
-                             const std::vector<const PlannedQuery*>& others,
-                             bool via_mmap) {
+                             const std::vector<const PlannedQuery*>& others) {
   auto [path, span] = FindRecord(dir, victim.fp);
   ASSERT_FALSE(path.empty());
   const off_t body = span.offset + 16;
@@ -835,11 +844,7 @@ void ExpectDamageNeverServes(PersistentPlanCache* cache,
   const off_t blob_at = overlay_at + span.overlay_len;
   const off_t end = blob_at + span.blob_len;
 
-  PersistentCacheStats before = cache->Snapshot();
   ExpectServes(cache, victim);
-  PersistentCacheStats after = cache->Snapshot();
-  EXPECT_EQ(after.mmap_serves - before.mmap_serves, via_mmap ? 1u : 0u);
-  EXPECT_EQ(after.pread_serves - before.pread_serves, via_mmap ? 0u : 1u);
 
   uint64_t key_flips = 0;
   uint64_t checked_flips = 0;
@@ -868,16 +873,12 @@ void ExpectDamageNeverServes(PersistentPlanCache* cache,
   EXPECT_EQ(checked_flips,
             static_cast<uint64_t>(span.overlay_len) + span.blob_len);
 
-  // The restored record serves again, on the same path, and nothing else
-  // was disturbed.
-  before = cache->Snapshot();
+  // The restored record serves again, and nothing else was disturbed.
   ExpectServes(cache, victim);
-  after = cache->Snapshot();
-  EXPECT_EQ(after.mmap_serves - before.mmap_serves, via_mmap ? 1u : 0u);
   for (const PlannedQuery* p : others) ExpectServes(cache, *p);
 }
 
-TEST(PersistentCache, DamagedRecordIsNeverServedFromAMap) {
+TEST(PersistentCache, DamagedRecordIsNeverServedFromASealedSegment) {
   TempDir dir;
   PersistentCacheOptions opts;
   opts.directory = dir.path();
@@ -891,12 +892,12 @@ TEST(PersistentCache, DamagedRecordIsNeverServedFromAMap) {
     for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
   }
   // Reopened with room: the last segment is active, the first two are
-  // sealed and mapped; planned[0] serves from its mapping.
+  // sealed (opened read-only); planned[0] lives in the oldest.
   opts.max_segment_bytes = 1u << 20;
   auto cache = OpenOrDie(opts);
-  ASSERT_EQ(cache->Snapshot().mmap_segments, 2u);
+  ASSERT_EQ(cache->Snapshot().segments, 3u);
   ExpectDamageNeverServes(cache.get(), dir.path(), planned[0],
-                          {&planned[1], &planned[2]}, /*via_mmap=*/true);
+                          {&planned[1], &planned[2]});
 }
 
 TEST(PersistentCache, DamagedRecordIsNeverServedThroughPread) {
@@ -909,10 +910,10 @@ TEST(PersistentCache, DamagedRecordIsNeverServedThroughPread) {
   for (int i = 0; i < 3; ++i) planned.push_back(PlanNth(i));
   auto cache = OpenOrDie(opts);
   for (const PlannedQuery& p : planned) cache->Put(p.fp, p.overlay, p.result);
-  // One active segment: every record is read with pread.
-  ASSERT_EQ(cache->Snapshot().mmap_segments, 0u);
+  // One segment, still active: planned[1] lives in the writable file.
+  ASSERT_EQ(cache->Snapshot().segments, 1u);
   ExpectDamageNeverServes(cache.get(), dir.path(), planned[1],
-                          {&planned[0], &planned[2]}, /*via_mmap=*/false);
+                          {&planned[0], &planned[2]});
 }
 
 // ---------------------------------------------------------------------------
